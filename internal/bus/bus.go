@@ -156,21 +156,23 @@ type Bus struct {
 	tenures   [numTenures]uint64
 	waitSum   sim.Time
 	grants    uint64
-	snoopFree *snoopSweep // recycled snoop fan-outs (zero-alloc steady state)
+	free      *tenure     // recycled tenure records (zero-alloc steady state)
+	snoopFree *snoopSweep // recycled snoop fan-outs
 
 	// Round-robin arbiter state.
-	rrPending [][]pendingTenure
+	rrPending [][]*tenure
 	rrBusy    bool
 	rrLast    int
 }
 
-// pendingTenure is one queued request at the round-robin arbiter.
-type pendingTenure struct {
-	src   int
-	kind  TenureKind
-	snoop func(node int, at sim.Time)
-	done  func(at sim.Time)
-	since sim.Time
+// Handler is the allocation-free target of TransactEvent: a pooled
+// object that observes a Request tenure's snoops and the tenure's end.
+type Handler interface {
+	// OnEvent fires when the tenure ends.
+	sim.EventHandler
+	// OnVisit fires at every node other than the source as a Request
+	// tenure's address is broadcast.
+	OnVisit(node int, at sim.Time)
 }
 
 // New returns a bus with the given configuration attached to k.
@@ -178,7 +180,7 @@ func New(k *sim.Kernel, cfg Config) *Bus {
 	g := NewGeometry(cfg)
 	b := &Bus{Geo: g, k: k, res: sim.NewResource(k, "bus", 1)}
 	if g.Arbiter == RoundRobin {
-		b.rrPending = make([][]pendingTenure, g.Nodes)
+		b.rrPending = make([][]*tenure, g.Nodes)
 		b.rrLast = g.Nodes - 1 // node 0 has first priority
 	}
 	return b
@@ -202,25 +204,88 @@ func (b *Bus) ResetStats() {
 // broadcast. Arbitration is FIFO, a fair stand-in for the round-robin
 // arbiter of real split-transaction buses.
 func (b *Bus) Transact(src int, kind TenureKind, snoop func(node int, at sim.Time), done func(at sim.Time)) {
+	t := b.newTenure(src, kind)
+	t.snoop, t.done = snoop, done
+	b.submit(t)
+}
+
+// TransactEvent is Transact for pooled handlers: a Request tenure
+// snoops h at every other node, and h.OnEvent fires when the tenure
+// ends. It consumes the same kernel sequence numbers as the equivalent
+// Transact.
+func (b *Bus) TransactEvent(src int, kind TenureKind, h Handler) {
+	t := b.newTenure(src, kind)
+	t.h = h
+	b.submit(t)
+}
+
+// tenure is one requested bus tenure, pooled through Bus.free. It is
+// the arbiter's grant target and the kernel event that ends the tenure.
+type tenure struct {
+	b     *Bus
+	src   int
+	kind  TenureKind
+	snoop func(node int, at sim.Time)
+	done  func(at sim.Time)
+	h     Handler
+	since sim.Time
+	next  *tenure
+}
+
+func (b *Bus) newTenure(src int, kind TenureKind) *tenure {
 	if src < 0 || src >= b.Geo.Nodes {
 		panic(fmt.Sprintf("bus: bad source node %d", src))
 	}
+	t := b.free
+	if t == nil {
+		t = &tenure{b: b}
+	} else {
+		b.free = t.next
+		t.next = nil
+	}
+	t.src, t.kind, t.since = src, kind, b.k.Now()
+	return t
+}
+
+// submit queues t at the configured arbiter.
+func (b *Bus) submit(t *tenure) {
 	if b.Geo.Arbiter == RoundRobin {
-		b.rrPending[src] = append(b.rrPending[src],
-			pendingTenure{src: src, kind: kind, snoop: snoop, done: done, since: b.k.Now()})
+		b.rrPending[t.src] = append(b.rrPending[t.src], t)
 		b.rrTryGrant()
 		return
 	}
-	req := b.k.Now()
-	b.res.Acquire(func() {
-		b.waitSum += b.k.Now() - req
-		b.serve(src, kind, snoop, func(at sim.Time) {
-			b.res.Release()
-			if done != nil {
-				done(at)
-			}
-		})
-	})
+	b.res.AcquireEvent(t)
+}
+
+// OnGrant (sim.Granted) starts an FCFS tenure once the bus is ours.
+func (t *tenure) OnGrant() {
+	t.b.waitSum += t.b.k.Now() - t.since
+	t.b.serve(t)
+}
+
+// OnEvent ends the tenure: the bus is released (possibly granting the
+// next waiter at once), the record is recycled, and the requester's
+// completion runs — in the order the per-call closures used.
+func (t *tenure) OnEvent(at sim.Time) {
+	b := t.b
+	b.res.Release()
+	rr := b.Geo.Arbiter == RoundRobin
+	if rr {
+		b.rrBusy = false
+	}
+	done, h := t.done, t.h
+	t.snoop, t.done, t.h = nil, nil, nil
+	t.next = b.free
+	b.free = t
+	switch {
+	case done != nil:
+		done(at)
+	case h != nil:
+		h.OnEvent(at)
+	}
+	if rr {
+		b.rrTryGrant()
+	}
 }
 
 // rrTryGrant grants the bus to the highest-priority pending node in the
@@ -237,33 +302,28 @@ func (b *Bus) rrTryGrant() {
 			continue
 		}
 		t := q[0]
-		b.rrPending[node] = q[1:]
+		copy(q, q[1:])
+		q[len(q)-1] = nil
+		b.rrPending[node] = q[:len(q)-1]
 		b.rrBusy = true
 		b.rrLast = node
 		b.waitSum += b.k.Now() - t.since
 		b.res.Acquire(func() {}) // pure busy-time accounting
-		b.serve(t.src, t.kind, t.snoop, func(at sim.Time) {
-			b.res.Release()
-			b.rrBusy = false
-			if t.done != nil {
-				t.done(at)
-			}
-			b.rrTryGrant()
-		})
+		b.serve(t)
 		return
 	}
 }
 
-// serve runs one granted tenure: snoop broadcast at grant time, bus
-// occupancy for the tenure length, then finish.
-func (b *Bus) serve(src int, kind TenureKind, snoop func(node int, at sim.Time), finish func(at sim.Time)) {
+// serve runs one granted tenure: snoop broadcast at grant time, then bus
+// occupancy for the tenure length, ended by t's own kernel event.
+func (b *Bus) serve(t *tenure) {
 	grant := b.k.Now()
 	b.grants++
-	b.tenures[kind]++
+	b.tenures[t.kind]++
 	if b.OnTenure != nil {
-		b.OnTenure(kind, grant, grant+b.Geo.TenureTime(kind))
+		b.OnTenure(t.kind, grant, grant+b.Geo.TenureTime(t.kind))
 	}
-	if kind == Request && snoop != nil && b.Geo.Nodes > 1 {
+	if t.kind == Request && (t.snoop != nil || t.h != nil) && b.Geo.Nodes > 1 {
 		// One pooled record chains through the N-1 snooping nodes in
 		// index order; the reserved sequence numbers replay the exact
 		// FIFO positions the per-node closures used to occupy, so the
@@ -275,15 +335,15 @@ func (b *Bus) serve(src int, kind TenureKind, snoop func(node int, at sim.Time),
 			b.snoopFree = s.next
 			s.next = nil
 		}
-		s.b, s.snoop, s.grant, s.src, s.idx = b, snoop, grant, src, 0
+		s.b, s.snoop, s.h, s.grant, s.src, s.idx = b, t.snoop, t.h, grant, t.src, 0
 		s.node = 0
-		if src == 0 {
+		if t.src == 0 {
 			s.node = 1
 		}
 		s.baseSeq = b.k.ReserveSeq(b.Geo.Nodes - 1)
 		b.k.AtReserved(grant, s.baseSeq, s)
 	}
-	b.k.After(b.Geo.TenureTime(kind), func() { finish(b.k.Now()) })
+	b.k.AfterEvent(b.Geo.TenureTime(t.kind), t)
 }
 
 // snoopSweep delivers one Request tenure's address broadcast: the same
@@ -293,6 +353,7 @@ func (b *Bus) serve(src int, kind TenureKind, snoop func(node int, at sim.Time),
 type snoopSweep struct {
 	b       *Bus
 	snoop   func(node int, at sim.Time)
+	h       Handler
 	grant   sim.Time
 	src     int
 	node    int // next node to deliver to
@@ -311,17 +372,20 @@ func (s *snoopSweep) OnEvent(at sim.Time) {
 		nxt++
 	}
 	s.idx++
-	snoop, grant := s.snoop, s.grant
+	snoop, h, grant := s.snoop, s.h, s.grant
 	if nxt < s.b.Geo.Nodes {
 		s.node = nxt
 		s.b.k.AtReserved(grant, s.baseSeq+uint64(s.idx), s)
-		snoop(node, grant)
+	} else {
+		b := s.b
+		s.snoop, s.h = nil, nil
+		s.next = b.snoopFree
+		b.snoopFree = s
+	}
+	if h != nil {
+		h.OnVisit(node, grant)
 		return
 	}
-	b := s.b
-	s.snoop = nil
-	s.next = b.snoopFree
-	b.snoopFree = s
 	snoop(node, grant)
 }
 

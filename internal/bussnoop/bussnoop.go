@@ -53,7 +53,8 @@ type Engine struct {
 	caches []*cache.Cache
 	banks  []*memory.Bank
 	home   *memory.HomeMap
-	meta   map[uint64]*blockMeta
+	meta   *coherence.Table[blockMeta]
+	pool   coherence.Pool
 
 	// WriteBacks counts dirty-eviction transfers.
 	WriteBacks uint64
@@ -75,7 +76,7 @@ func New(b *bus.Bus, opts Options) *Engine {
 		caches: make([]*cache.Cache, n),
 		banks:  make([]*memory.Bank, n),
 		home:   homeMapFor(n, opts),
-		meta:   make(map[uint64]*blockMeta),
+		meta:   coherence.NewTable(blockMeta{owner: -1}),
 	}
 	e.wbByNode = make([]uint64, n)
 	for i := 0; i < n; i++ {
@@ -94,17 +95,8 @@ func (e *Engine) Cache(node int) *cache.Cache { return e.caches[node] }
 // HomeMap returns the page-to-home placement.
 func (e *Engine) HomeMap() *memory.HomeMap { return e.home }
 
-func (e *Engine) metaFor(block uint64) *blockMeta {
-	m := e.meta[block]
-	if m == nil {
-		m = &blockMeta{owner: -1}
-		e.meta[block] = m
-	}
-	return m
-}
-
 // Access performs one data reference for node; done fires at completion.
-func (e *Engine) Access(node int, addr uint64, write bool, done func(at sim.Time, res coherence.Result)) {
+func (e *Engine) Access(node int, addr uint64, write bool, done coherence.Done) {
 	c := e.caches[node]
 	block := c.BlockAddr(addr)
 	switch c.Lookup(addr, write) {
@@ -126,106 +118,163 @@ func (e *Engine) fill(node int, block uint64, st coherence.State) {
 	}
 }
 
+// Transaction steps: where a txn waits, and what it does on resuming.
+const (
+	stepWriteBack coherence.Step = iota // write-back tenure ended: memory takes the block
+	stepLocalRead                       // home bank read of a purely local read miss
+	stepRequest                         // miss address tenure: snooped, then ended
+	stepFetched                         // responder's bank or cache fetch done
+	stepResponse                        // data tenure ended: the miss completes
+	stepUpgrade                         // upgrade address tenure: snooped, then ended
+)
+
+// txn is one pooled coherence transaction: a miss, an upgrade or a
+// write-back.
+type txn struct {
+	coherence.Record
+	e           *Engine
+	node        int
+	home        int
+	responder   int
+	block       uint64
+	mi          int32 // the block's meta row
+	write       bool
+	dirtyRemote bool
+	class       coherence.Txn
+}
+
+// newTxn opens a transaction for node on block; done is nil for
+// write-backs.
+func (e *Engine) newTxn(node int, block uint64, done coherence.Done) *txn {
+	t, _ := e.pool.Get().(*txn)
+	if t == nil {
+		t = &txn{e: e}
+		t.Bind(t, &e.pool)
+	}
+	t.Open(done)
+	t.node, t.block = node, block
+	return t
+}
+
 // writeBack moves a dirty block home, off the critical path.
 func (e *Engine) writeBack(node int, block uint64) {
 	e.WriteBacks++
 	e.wbByNode[node]++
 	h := e.home.Home(block)
-	land := func(sim.Time) {
-		m := e.metaFor(block)
-		if m.dirty && m.owner == node {
-			m.dirty = false
-		}
-		e.banks[h].Access(nil)
-	}
 	if h == node {
-		land(e.k.Now())
+		e.land(node, h, block)
 		return
 	}
-	e.bus.Transact(node, bus.WriteBack, nil, land)
+	t := e.newTxn(node, block, nil)
+	t.home = h
+	e.bus.TransactEvent(node, bus.WriteBack, t.Await(stepWriteBack))
+	t.Close()
+}
+
+// land absorbs a write-back at home h: the dirty bit clears if node
+// still owns the block, and the bank takes the write.
+func (e *Engine) land(node, h int, block uint64) {
+	m := e.meta.Row(block)
+	if m.dirty && m.owner == node {
+		m.dirty = false
+	}
+	e.banks[h].Access(nil)
 }
 
 // miss services a read or write miss.
-func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, coherence.Result)) {
-	m := e.metaFor(block)
+func (e *Engine) miss(node int, block uint64, write bool, done coherence.Done) {
+	mi := e.meta.Index(block)
+	m := e.meta.At(mi)
 	h := e.home.Home(block)
 	dirtyRemote := m.dirty && m.owner != node
+	t := e.newTxn(node, block, done)
+	t.mi = mi
 
 	// A read miss on a clean block homed here never touches the bus.
 	if h == node && !dirtyRemote && !write {
-		e.banks[h].Access(func() {
-			e.fill(node, block, coherence.ReadShared)
-			done(e.k.Now(), coherence.Result{Txn: coherence.ReadMissClean, Local: true})
-		})
+		e.banks[h].AccessEvent(t.Await(stepLocalRead))
 		return
 	}
 
-	txn := coherence.ReadMissClean
+	t.class = coherence.ReadMissClean
 	switch {
 	case write && dirtyRemote:
-		txn = coherence.WriteMissDirty
+		t.class = coherence.WriteMissDirty
 	case write:
-		txn = coherence.WriteMissClean
+		t.class = coherence.WriteMissClean
 	case dirtyRemote:
-		txn = coherence.ReadMissDirty
+		t.class = coherence.ReadMissDirty
 	}
-	responder := h
+	t.responder = h
 	if dirtyRemote {
-		responder = m.owner
+		t.responder = m.owner
 	}
+	t.write, t.dirtyRemote = write, dirtyRemote
 
 	// Address tenure: broadcast and snooped.
-	e.bus.Transact(node, bus.Request,
-		func(snooper int, _ sim.Time) {
-			if write {
-				e.caches[snooper].Invalidate(block)
-			} else if snooper == responder && dirtyRemote {
-				e.caches[snooper].Downgrade(block)
+	e.bus.TransactEvent(node, bus.Request, t.Await(stepRequest))
+}
+
+// Resume runs one step of the transaction.
+func (t *txn) Resume(step coherence.Step, snooper int, at sim.Time) {
+	e := t.e
+	switch step {
+	case stepWriteBack:
+		e.land(t.node, t.home, t.block)
+	case stepLocalRead:
+		e.fill(t.node, t.block, coherence.ReadShared)
+		t.Finish(e.k.Now(), coherence.Result{Txn: coherence.ReadMissClean, Local: true})
+	case stepRequest:
+		if snooper >= 0 {
+			if t.write {
+				e.caches[snooper].Invalidate(t.block)
+			} else if snooper == t.responder && t.dirtyRemote {
+				e.caches[snooper].Downgrade(t.block)
 			}
-		},
-		func(sim.Time) {
-			// Fetch at the responder, then the data tenure.
-			deliver := func() {
-				e.bus.Transact(responder, bus.Response, nil, func(at sim.Time) {
-					st := coherence.ReadShared
-					if write {
-						st = coherence.WriteExclusive
-					}
-					e.fill(node, block, st)
-					mm := e.metaFor(block)
-					if write {
-						mm.dirty = true
-						mm.owner = node
-					} else if dirtyRemote {
-						mm.dirty = false
-					}
-					done(at, coherence.Result{Txn: txn})
-				})
-			}
-			if dirtyRemote {
-				e.k.After(CacheSupplyTime, deliver)
-			} else {
-				e.banks[responder].Access(deliver)
-			}
-		})
+			return
+		}
+		// Fetch at the responder, then the data tenure.
+		if t.dirtyRemote {
+			e.k.AfterEvent(CacheSupplyTime, t.Await(stepFetched))
+		} else {
+			e.banks[t.responder].AccessEvent(t.Await(stepFetched))
+		}
+	case stepFetched:
+		e.bus.TransactEvent(t.responder, bus.Response, t.Await(stepResponse))
+	case stepResponse:
+		st := coherence.ReadShared
+		if t.write {
+			st = coherence.WriteExclusive
+		}
+		e.fill(t.node, t.block, st)
+		m := e.meta.At(t.mi)
+		if t.write {
+			m.dirty = true
+			m.owner = t.node
+		} else if t.dirtyRemote {
+			m.dirty = false
+		}
+		t.Finish(at, coherence.Result{Txn: t.class})
+	case stepUpgrade:
+		if snooper >= 0 {
+			e.caches[snooper].Invalidate(t.block)
+			return
+		}
+		if !e.caches[t.node].Upgrade(t.block) {
+			e.fill(t.node, t.block, coherence.WriteExclusive)
+		}
+		m := e.meta.Row(t.block)
+		m.dirty = true
+		m.owner = t.node
+		t.Finish(at, coherence.Result{Txn: coherence.Invalidation})
+	}
 }
 
 // upgrade services an invalidation: the address tenure alone grants
 // write permission once every snooper has seen it.
-func (e *Engine) upgrade(node int, block uint64, done func(sim.Time, coherence.Result)) {
-	e.bus.Transact(node, bus.Request,
-		func(snooper int, _ sim.Time) {
-			e.caches[snooper].Invalidate(block)
-		},
-		func(at sim.Time) {
-			if !e.caches[node].Upgrade(block) {
-				e.fill(node, block, coherence.WriteExclusive)
-			}
-			m := e.metaFor(block)
-			m.dirty = true
-			m.owner = node
-			done(at, coherence.Result{Txn: coherence.Invalidation})
-		})
+func (e *Engine) upgrade(node int, block uint64, done coherence.Done) {
+	t := e.newTxn(node, block, done)
+	e.bus.TransactEvent(node, bus.Request, t.Await(stepUpgrade))
 }
 
 // homeMapFor returns the configured home map, or builds the default

@@ -31,7 +31,7 @@ import (
 // Engine is the coherence-engine interface satisfied by all four
 // protocol implementations.
 type Engine interface {
-	Access(node int, addr uint64, write bool, done func(at sim.Time, res coherence.Result))
+	Access(node int, addr uint64, write bool, done coherence.Done)
 	// HasBlock reports whether node caches the block containing addr in
 	// a readable state; the write-buffer model uses it for load
 	// bypassing.
@@ -394,16 +394,68 @@ type proc struct {
 	// accessDone is the engine completion callback for blocking
 	// accesses, built once per proc so the steady state allocates no
 	// closures.
-	accessDone func(at sim.Time, res coherence.Result)
+	accessDone coherence.Done
 	// Write-buffer state for the non-blocking-stores model. The buffer
 	// coalesces stores to a block already being acquired, as real write
 	// buffers and MSHRs do.
 	pendingStores int
 	pendingBlocks map[uint64]bool
-	// waiters holds accesses merged into an outstanding buffered store
-	// (MSHR semantics): they resume when it completes.
-	waiters  map[uint64][]func()
-	draining bool
+	// A load merged into an outstanding buffered store (MSHR semantics)
+	// resumes when that store completes. The processor is stalled
+	// meanwhile, so at most one load waits: merged reports it, on
+	// mergedBlock since mergedStart.
+	merged      bool
+	mergedBlock uint64
+	mergedStart sim.Time
+	draining    bool
+	// storeFree recycles the records of completed buffered stores.
+	storeFree []*storeOp
+}
+
+// storeOp is one buffered store in flight. done is its engine
+// completion callback, bound once when the record is created, so
+// buffered stores allocate nothing in the steady state.
+type storeOp struct {
+	p     *proc
+	ref   trace.Ref
+	block uint64
+	start sim.Time
+	done  coherence.Done
+}
+
+// newStore takes a buffered-store record from p's free list.
+func (p *proc) newStore() *storeOp {
+	if n := len(p.storeFree); n > 0 {
+		o := p.storeFree[n-1]
+		p.storeFree = p.storeFree[:n-1]
+		return o
+	}
+	o := &storeOp{p: p}
+	o.done = o.complete
+	return o
+}
+
+// complete retires the buffered store: it is recorded, leaves the
+// buffer, resumes a load merged into it, and lets a draining processor
+// finish once the buffer is empty.
+func (o *storeOp) complete(at sim.Time, res coherence.Result) {
+	p, r, block, start := o.p, o.ref, o.block, o.start
+	s := p.sys
+	p.storeFree = append(p.storeFree, o)
+	s.recordNonBlocking(p, r, at-start, res)
+	p.pendingStores--
+	delete(p.pendingBlocks, block)
+	if p.merged && p.mergedBlock == block {
+		p.merged = false
+		if p.warm {
+			s.m.Hits++
+			p.stall += s.k.Now() - p.mergedStart
+		}
+		s.advance(p)
+	}
+	if p.draining && p.pendingStores == 0 {
+		s.finishProc(p)
+	}
 }
 
 // NewSystem builds a system running src under cfg. The node count comes
@@ -552,7 +604,6 @@ func newSystemOn(k *sim.Kernel, cfg Config, src workload.Source, lo, hi int, seg
 			sys:           s,
 			warm:          cfg.WarmupDataRefs == 0,
 			pendingBlocks: make(map[uint64]bool),
-			waiters:       make(map[uint64][]func()),
 		}
 		p.accessDone = func(at sim.Time, res coherence.Result) {
 			s.record(p, p.ref, at-p.start, res)
@@ -750,9 +801,8 @@ func (s *System) advance(p *proc) {
 
 // OnEvent fires p's pending issue event: the stream-end drain, or the
 // data access whose compute cycles just elapsed. Blocking accesses
-// complete through p.accessDone; the non-blocking-store paths keep
-// per-call closures (they can have several accesses in flight), which
-// only the latency-tolerance ablation pays for.
+// complete through p.accessDone, buffered stores through their pooled
+// storeOp records.
 func (p *proc) OnEvent(at sim.Time) {
 	s := p.sys
 	if p.eol {
@@ -777,13 +827,7 @@ func (p *proc) OnEvent(at sim.Time) {
 			// *upgrade* bypasses instead — the RS copy is readable
 			// under weak ordering — and falls through to the normal
 			// path, where it simply hits.
-			p.waiters[block] = append(p.waiters[block], func() {
-				if p.warm {
-					s.m.Hits++
-					p.stall += s.k.Now() - start
-				}
-				s.advance(p)
-			})
+			p.merged, p.mergedBlock, p.mergedStart = true, block, start
 			return
 		}
 	}
@@ -796,20 +840,9 @@ func (p *proc) OnEvent(at sim.Time) {
 		if !p.pendingBlocks[block] {
 			p.pendingStores++
 			p.pendingBlocks[block] = true
-			s.engine.Access(p.id, r.Addr, true, func(at sim.Time, res coherence.Result) {
-				s.recordNonBlocking(p, r, at-start, res)
-				p.pendingStores--
-				delete(p.pendingBlocks, block)
-				if ws := p.waiters[block]; len(ws) > 0 {
-					delete(p.waiters, block)
-					for _, w := range ws {
-						w()
-					}
-				}
-				if p.draining && p.pendingStores == 0 {
-					s.finishProc(p)
-				}
-			})
+			o := p.newStore()
+			o.ref, o.block, o.start = r, block, start
+			s.engine.Access(p.id, r.Addr, true, o.done)
 		}
 		if !p.warm && p.dataIssued >= s.cfg.WarmupDataRefs {
 			s.crossWarmup(p)

@@ -68,6 +68,7 @@ type Engine struct {
 	home   *memory.HomeMap
 	dir    *memory.Directory
 	tr     *obs.Tracer
+	pool   coherence.Pool
 
 	// WriteBacks counts dirty-eviction block messages.
 	WriteBacks uint64
@@ -117,7 +118,7 @@ func (e *Engine) HomeMap() *memory.HomeMap { return e.home }
 func (e *Engine) Directory() *memory.Directory { return e.dir }
 
 // Access performs one data reference for node; done fires at completion.
-func (e *Engine) Access(node int, addr uint64, write bool, done func(at sim.Time, res coherence.Result)) {
+func (e *Engine) Access(node int, addr uint64, write bool, done coherence.Done) {
 	c := e.caches[node]
 	block := c.BlockAddr(addr)
 	switch c.Lookup(addr, write) {
@@ -146,48 +147,91 @@ func (e *Engine) fill(node int, block uint64, st coherence.State) {
 // and victim). Test-only instrumentation.
 var DebugEvict func(node int, filler, victim uint64)
 
+// Transaction steps: where a txn waits, and what it does on resuming.
+// A multicast's step also fires as a visit at every node it passes.
+const (
+	stepWBArrive          coherence.Step = iota // write-back block reached the home
+	stepWBLand                                  // home bank absorbed the write-back
+	stepRequest                                 // miss request reached the remote home
+	stepHomeGrant                               // remote home's bank granted the miss
+	stepLocalGrant                              // local home's bank granted the miss
+	stepOwnerRequest                            // request reached the dirty owner
+	stepOwnerFetched                            // owner's cache fetch done: ship the block
+	stepFill                                    // block arrived at the requester
+	stepLocalMulticast                          // local write miss's invalidation sweep
+	stepHomeMulticast                           // remote home's invalidation sweep
+	stepUpgradeLocalGrant                       // local home's bank granted the upgrade
+	stepUpgradeRequest                          // upgrade request reached the remote home
+	stepUpgradeHomeGrant                        // remote home's bank granted the upgrade
+	stepUpgradeMulticast                        // upgrade's invalidation sweep, ack to follow
+	stepUpgradeDone                             // upgrade complete: sweep back, or ack arrived
+)
+
+// txn is one pooled coherence transaction: a miss, an upgrade or a
+// write-back.
+type txn struct {
+	coherence.Record
+	e     *Engine
+	node  int
+	home  int
+	owner int
+	block uint64
+	write bool
+	class coherence.Txn
+	miss  coherence.MissClass
+	trav  int
+	sp    obs.Span
+}
+
+// newTxn opens a transaction for node on block; done is nil for
+// write-backs.
+func (e *Engine) newTxn(node int, block uint64, done coherence.Done) *txn {
+	t, _ := e.pool.Get().(*txn)
+	if t == nil {
+		t = &txn{e: e}
+		t.Bind(t, &e.pool)
+	}
+	t.Open(done)
+	t.node, t.block = node, block
+	t.sp = obs.Span{}
+	return t
+}
+
 // writeBack returns a dirty block to its home, off the critical path.
 func (e *Engine) writeBack(node int, block uint64) {
 	e.WriteBacks++
 	e.wbByNode[node]++
 	sp := e.tr.Begin(node, e.k.Now())
 	h := e.home.Home(block)
-	land := func() {
-		e.banks[h].Access(func() {
-			ln := e.dir.Line(block)
-			ln.RemoveSharer(node) // also clears the dirty bit if owner
-		})
-	}
+	t := e.newTxn(node, block, nil)
+	t.home = h
 	if h == node {
-		land()
+		e.banks[h].AccessEvent(t.Await(stepWBLand))
 		sp.End(e.k.Now(), coherence.WriteBack)
+		t.Close()
 		return
 	}
-	grab, removal := e.ring.Send(node, h, ring.BlockSlot, nil, func(sim.Time) { land() })
+	grab, removal := e.ring.SendEvent(node, h, ring.BlockSlot, t.Await(stepWBArrive))
 	sp.Mark(obs.PhaseData, grab)
 	sp.End(removal, coherence.WriteBack)
+	t.Close()
 }
 
 // probe sends a point-to-point probe (request, forward, or ack) in the
 // parity slot of block, returning the slot grab time.
-func (e *Engine) probe(src, dst int, block uint64, arrived func(at sim.Time)) sim.Time {
+func (e *Engine) probe(src, dst int, block uint64, arrived *coherence.Port) sim.Time {
 	class := e.ring.Geo.ProbeClassFor(block)
-	grab, _ := e.ring.Send(src, dst, class, nil, func(at sim.Time) { arrived(at) })
+	grab, _ := e.ring.SendEvent(src, dst, class, arrived)
 	return grab
 }
 
 // multicast sends the home's invalidation sweep: a broadcast probe that
-// invalidates every cached copy except keep's, returning after one full
-// traversal. It reports the probe slot grab time.
-func (e *Engine) multicast(h int, block uint64, keep int, returned func(at sim.Time)) sim.Time {
+// visits every node (each step invalidates all copies but the
+// requester's) and returns after one full traversal. It reports the
+// probe slot grab time.
+func (e *Engine) multicast(h int, block uint64, port *coherence.Port) sim.Time {
 	class := e.ring.Geo.ProbeClassFor(block)
-	grab, _ := e.ring.Send(h, ring.Broadcast, class,
-		func(visited int, at sim.Time) {
-			if visited != keep {
-				e.caches[visited].Invalidate(block)
-			}
-		},
-		func(at sim.Time) { returned(at) })
+	grab, _ := e.ring.SendEvent(h, ring.Broadcast, class, port)
 	return grab
 }
 
@@ -213,96 +257,160 @@ func classifyDirty(trav int) coherence.MissClass {
 }
 
 // miss services a read or write miss.
-func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, coherence.Result)) {
+func (e *Engine) miss(node int, block uint64, write bool, done coherence.Done) {
 	h := e.home.Home(block)
-	sp := e.tr.Begin(node, e.k.Now())
+	t := e.newTxn(node, block, done)
+	t.home, t.write = h, write
+	t.sp = e.tr.Begin(node, e.k.Now())
 	if h == node {
-		e.localMiss(node, block, write, sp, done)
+		e.banks[node].AccessEvent(t.Await(stepLocalGrant))
 		return
 	}
 	// Remote home: request probe to h; all decisions are made at the
 	// home, serialized by its bank.
-	grab := e.probe(node, h, block, func(sim.Time) {
-		e.banks[h].Access(func() {
-			// The home's bank grant is the directory protocol's "ack
-			// observed" waypoint: the request is now being serviced.
-			sp.Mark(obs.PhaseAck, e.k.Now())
-			e.atHome(node, h, block, write, sp, done)
-		})
-	})
-	sp.Mark(obs.PhaseProbeGrab, grab)
+	grab := e.probe(node, h, block, t.Await(stepRequest))
+	t.sp.Mark(obs.PhaseProbeGrab, grab)
 }
 
-// localMiss handles a miss whose home is the requesting node.
-func (e *Engine) localMiss(node int, block uint64, write bool, sp obs.Span, done func(sim.Time, coherence.Result)) {
-	e.banks[node].Access(func() {
-		ln := e.dir.Line(block)
-		dirtyRemote := ln.Dirty && ln.Owner != node
-		switch {
-		case dirtyRemote:
-			// Request straight to the dirty node; it supplies the
-			// block directly back: exactly one traversal (n→o→n).
-			o := ln.Owner
-			if write {
-				ln.SetDirty(node)
-			} else {
-				ln.Dirty = false
-				ln.AddSharer(node)
-			}
-			txn := coherence.ReadMissDirty
-			if write {
-				txn = coherence.WriteMissDirty
-			}
-			grab := e.probe(node, o, block, func(sim.Time) {
-				e.ownerSupply(o, node, block, write, func(at sim.Time) {
-					st := coherence.ReadShared
-					if write {
-						st = coherence.WriteExclusive
-					}
-					e.fill(node, block, st)
-					sp.Mark(obs.PhaseData, at)
-					sp.End(at, txn)
-					done(at, coherence.Result{Txn: txn, Class: coherence.OneCycleDirty, Traversals: 1})
-				})
-			})
-			sp.Mark(obs.PhaseProbeGrab, grab)
-		case write && ln.NumSharers() > 0 && !(ln.NumSharers() == 1 && ln.HasSharer(node)):
-			// Local write miss, block shared remotely: multicast and
-			// wait for the sweep to return before completing.
-			ln.SetDirty(node)
-			grab := e.multicast(node, block, node, func(at sim.Time) {
-				e.fill(node, block, coherence.WriteExclusive)
-				// Latency-wise this is one traversal plus the local
-				// fetch — the clean-remote-miss class.
-				sp.Mark(obs.PhaseAck, at)
-				sp.End(at, coherence.WriteMissClean)
-				done(at, coherence.Result{Txn: coherence.WriteMissClean,
-					Class: coherence.OneCycleClean, Traversals: 1})
-			})
-			sp.Mark(obs.PhaseProbeGrab, grab)
-		default:
-			// Purely local.
-			if write {
-				ln.SetDirty(node)
-				e.fill(node, block, coherence.WriteExclusive)
-				sp.Mark(obs.PhaseData, e.k.Now())
-				sp.End(e.k.Now(), coherence.WriteMissClean)
-				done(e.k.Now(), coherence.Result{Txn: coherence.WriteMissClean, Local: true})
-			} else {
-				ln.AddSharer(node)
-				e.fill(node, block, coherence.ReadShared)
-				sp.Mark(obs.PhaseData, e.k.Now())
-				sp.End(e.k.Now(), coherence.ReadMissClean)
-				done(e.k.Now(), coherence.Result{Txn: coherence.ReadMissClean, Local: true})
-			}
+// Resume runs one step of the transaction.
+func (t *txn) Resume(step coherence.Step, visited int, at sim.Time) {
+	e := t.e
+	if visited >= 0 {
+		// Only multicasts visit: invalidate every copy but the
+		// requester's.
+		if visited != t.node {
+			e.caches[visited].Invalidate(t.block)
 		}
-	})
+		return
+	}
+	switch step {
+	case stepWBArrive:
+		e.banks[t.home].AccessEvent(t.Await(stepWBLand))
+	case stepWBLand:
+		e.dir.Line(t.block).RemoveSharer(t.node) // also clears the dirty bit if owner
+	case stepRequest:
+		e.banks[t.home].AccessEvent(t.Await(stepHomeGrant))
+	case stepHomeGrant:
+		// The home's bank grant is the directory protocol's "ack
+		// observed" waypoint: the request is now being serviced.
+		t.sp.Mark(obs.PhaseAck, e.k.Now())
+		e.atHome(t)
+	case stepLocalGrant:
+		e.localMiss(t)
+	case stepOwnerRequest:
+		e.ownerSupply(t)
+	case stepOwnerFetched:
+		e.ring.SendEvent(t.owner, t.node, ring.BlockSlot, t.Await(stepFill))
+	case stepFill:
+		st := coherence.ReadShared
+		if t.write {
+			st = coherence.WriteExclusive
+		}
+		e.fill(t.node, t.block, st)
+		t.sp.Mark(obs.PhaseData, at)
+		t.sp.End(at, t.class)
+		t.Finish(at, coherence.Result{Txn: t.class, Class: t.miss, Traversals: t.trav})
+	case stepLocalMulticast:
+		e.fill(t.node, t.block, coherence.WriteExclusive)
+		// Latency-wise this is one traversal plus the local fetch — the
+		// clean-remote-miss class.
+		t.sp.Mark(obs.PhaseAck, at)
+		t.sp.End(at, coherence.WriteMissClean)
+		t.Finish(at, coherence.Result{Txn: coherence.WriteMissClean,
+			Class: coherence.OneCycleClean, Traversals: 1})
+	case stepHomeMulticast:
+		e.ring.SendEvent(t.home, t.node, ring.BlockSlot, t.Await(stepFill))
+	case stepUpgradeLocalGrant:
+		t.sp.Mark(obs.PhaseAck, e.k.Now())
+		ln := e.dir.Line(t.block)
+		shared := sharedElsewhere(ln, t.node, t.node)
+		ln.SetDirty(t.node)
+		if shared {
+			t.trav = 1
+			grab := e.multicast(t.node, t.block, t.Await(stepUpgradeDone))
+			t.sp.Mark(obs.PhaseProbeGrab, grab)
+		} else {
+			t.finishUpgrade(e.k.Now(), 0)
+		}
+	case stepUpgradeRequest:
+		e.banks[t.home].AccessEvent(t.Await(stepUpgradeHomeGrant))
+	case stepUpgradeHomeGrant:
+		t.sp.Mark(obs.PhaseAck, e.k.Now())
+		h := t.home
+		ln := e.dir.Line(t.block)
+		shared := sharedElsewhere(ln, t.node, h)
+		if DebugUpgrade != nil {
+			DebugUpgrade(t.block, ln.NumSharers(), h, t.node, shared)
+		}
+		e.caches[h].Invalidate(t.block)
+		ln.SetDirty(t.node)
+		if shared {
+			e.multicast(h, t.block, t.Await(stepUpgradeMulticast))
+		} else {
+			t.trav = 1
+			e.probe(h, t.node, t.block, t.Await(stepUpgradeDone))
+		}
+	case stepUpgradeMulticast:
+		t.trav = 2
+		e.probe(t.home, t.node, t.block, t.Await(stepUpgradeDone))
+	case stepUpgradeDone:
+		t.finishUpgrade(at, t.trav)
+	}
+}
+
+// localMiss handles a miss whose home is the requesting node, once the
+// local bank grants it.
+func (e *Engine) localMiss(t *txn) {
+	node, block, write := t.node, t.block, t.write
+	ln := e.dir.Line(block)
+	dirtyRemote := ln.Dirty && ln.Owner != node
+	switch {
+	case dirtyRemote:
+		// Request straight to the dirty node; it supplies the block
+		// directly back: exactly one traversal (n→o→n).
+		t.owner = ln.Owner
+		if write {
+			ln.SetDirty(node)
+		} else {
+			ln.Dirty = false
+			ln.AddSharer(node)
+		}
+		t.class = coherence.ReadMissDirty
+		if write {
+			t.class = coherence.WriteMissDirty
+		}
+		t.miss, t.trav = coherence.OneCycleDirty, 1
+		grab := e.probe(node, t.owner, block, t.Await(stepOwnerRequest))
+		t.sp.Mark(obs.PhaseProbeGrab, grab)
+	case write && ln.NumSharers() > 0 && !(ln.NumSharers() == 1 && ln.HasSharer(node)):
+		// Local write miss, block shared remotely: multicast and wait
+		// for the sweep to return before completing.
+		ln.SetDirty(node)
+		grab := e.multicast(node, block, t.Await(stepLocalMulticast))
+		t.sp.Mark(obs.PhaseProbeGrab, grab)
+	default:
+		// Purely local.
+		now := e.k.Now()
+		class := coherence.ReadMissClean
+		st := coherence.ReadShared
+		if write {
+			ln.SetDirty(node)
+			class, st = coherence.WriteMissClean, coherence.WriteExclusive
+		} else {
+			ln.AddSharer(node)
+		}
+		e.fill(node, block, st)
+		t.sp.Mark(obs.PhaseData, now)
+		t.sp.End(now, class)
+		t.Finish(now, coherence.Result{Txn: class, Local: true})
+	}
 }
 
 // atHome runs the home-node directory actions for a remote miss, at the
 // point the home's bank grants the (lookup + fetch) access.
-func (e *Engine) atHome(node, h int, block uint64, write bool, sp obs.Span, done func(sim.Time, coherence.Result)) {
+func (e *Engine) atHome(t *txn) {
 	g := &e.ring.Geo
+	node, h, block, write := t.node, t.home, t.block, t.write
 	ln := e.dir.Line(block)
 	dirtyRemote := ln.Dirty && ln.Owner != node && ln.Owner != h
 	if DebugMiss != nil {
@@ -316,50 +424,35 @@ func (e *Engine) atHome(node, h int, block uint64, write bool, sp obs.Span, done
 		// home→requester arc (Figure 2.b).
 		o := ln.Owner
 		total := g.DistStages(node, h) + g.DistStages(h, o) + g.DistStages(o, node)
-		trav := e.traversals(total)
-		txn := coherence.ReadMissDirty
+		t.owner = o
+		t.trav = e.traversals(total)
+		t.miss = classifyDirty(t.trav)
+		t.class = coherence.ReadMissDirty
 		if write {
-			txn = coherence.WriteMissDirty
+			t.class = coherence.WriteMissDirty
 			ln.SetDirty(node)
 		} else {
 			ln.Dirty = false
 			ln.AddSharer(node)
 		}
-		e.probe(h, o, block, func(sim.Time) {
-			e.ownerSupply(o, node, block, write, func(at sim.Time) {
-				st := coherence.ReadShared
-				if write {
-					st = coherence.WriteExclusive
-				}
-				e.fill(node, block, st)
-				sp.Mark(obs.PhaseData, at)
-				sp.End(at, txn)
-				done(at, coherence.Result{Txn: txn, Class: classifyDirty(trav), Traversals: trav})
-			})
-		})
+		e.probe(h, o, block, t.Await(stepOwnerRequest))
 
 	case write && sharedElsewhere(ln, node, h):
 		// Multicast invalidation, then respond: two traversals total.
 		// The home's own copy (if any) dies too.
 		e.caches[h].Invalidate(block)
 		ln.SetDirty(node)
-		e.multicast(h, block, node, func(sim.Time) {
-			e.sendBlock(h, node, func(at sim.Time) {
-				e.fill(node, block, coherence.WriteExclusive)
-				sp.Mark(obs.PhaseData, at)
-				sp.End(at, coherence.WriteMissClean)
-				done(at, coherence.Result{Txn: coherence.WriteMissClean, Class: coherence.TwoCycle, Traversals: 2})
-			})
-		})
+		t.class, t.miss, t.trav = coherence.WriteMissClean, coherence.TwoCycle, 2
+		e.multicast(h, block, t.Await(stepHomeMulticast))
 
 	default:
 		// Clean (or home-owned): the home supplies directly. If the
 		// home's own cache holds it WE, it downgrades/invalidates.
-		txn := coherence.ReadMissClean
+		t.class = coherence.ReadMissClean
 		if ln.Dirty && ln.Owner == h {
-			txn = coherence.ReadMissDirty
+			t.class = coherence.ReadMissDirty
 			if write {
-				txn = coherence.WriteMissDirty
+				t.class = coherence.WriteMissDirty
 			}
 			if write {
 				e.caches[h].Invalidate(block)
@@ -367,7 +460,7 @@ func (e *Engine) atHome(node, h int, block uint64, write bool, sp obs.Span, done
 				e.caches[h].Downgrade(block)
 			}
 		} else if write {
-			txn = coherence.WriteMissClean
+			t.class = coherence.WriteMissClean
 			e.caches[h].Invalidate(block)
 		}
 		if write {
@@ -376,20 +469,11 @@ func (e *Engine) atHome(node, h int, block uint64, write bool, sp obs.Span, done
 			ln.Dirty = false
 			ln.AddSharer(node)
 		}
-		class := coherence.OneCycleClean
-		if txn == coherence.ReadMissDirty || txn == coherence.WriteMissDirty {
-			class = coherence.OneCycleDirty
+		t.miss, t.trav = coherence.OneCycleClean, 1
+		if t.class == coherence.ReadMissDirty || t.class == coherence.WriteMissDirty {
+			t.miss = coherence.OneCycleDirty
 		}
-		e.sendBlock(h, node, func(at sim.Time) {
-			st := coherence.ReadShared
-			if write {
-				st = coherence.WriteExclusive
-			}
-			e.fill(node, block, st)
-			sp.Mark(obs.PhaseData, at)
-			sp.End(at, txn)
-			done(at, coherence.Result{Txn: txn, Class: class, Traversals: 1})
-		})
+		e.ring.SendEvent(h, node, ring.BlockSlot, t.Await(stepFill))
 	}
 }
 
@@ -397,30 +481,19 @@ func (e *Engine) atHome(node, h int, block uint64, write bool, sp obs.Span, done
 // requester (the home's presence bit counts: its cache copy must be
 // invalidated, though that needs no ring traffic).
 func sharedElsewhere(ln *memory.Line, requester, home int) bool {
-	for _, s := range ln.Sharers() {
-		if s != requester && s != home {
-			return true
-		}
-	}
-	return false
+	return ln.HasSharerBesides(requester, home)
 }
 
-// ownerSupply has the dirty owner fetch the block from its cache,
-// downgrade or invalidate its copy, and ship the data to the requester.
-func (e *Engine) ownerSupply(o, requester int, block uint64, write bool, delivered func(at sim.Time)) {
-	if write {
-		e.caches[o].Invalidate(block)
+// ownerSupply has the dirty owner fetch the block from its cache and
+// downgrade or invalidate its copy; stepOwnerFetched then ships the
+// data to the requester.
+func (e *Engine) ownerSupply(t *txn) {
+	if t.write {
+		e.caches[t.owner].Invalidate(t.block)
 	} else {
-		e.caches[o].Downgrade(block)
+		e.caches[t.owner].Downgrade(t.block)
 	}
-	e.k.After(CacheSupplyTime, func() {
-		e.sendBlock(o, requester, delivered)
-	})
-}
-
-// sendBlock ships one block message src → dst.
-func (e *Engine) sendBlock(src, dst int, delivered func(at sim.Time)) {
-	e.ring.Send(src, dst, ring.BlockSlot, nil, func(at sim.Time) { delivered(at) })
+	e.k.AfterEvent(CacheSupplyTime, t.Await(stepOwnerFetched))
 }
 
 // DebugUpgrade, when non-nil, observes every remote upgrade as the home
@@ -434,55 +507,30 @@ var DebugMiss func(block uint64, sharers int, dirty bool, owner, node int, write
 
 // upgrade services an invalidation request: the requester holds RS and
 // asks the home for write permission.
-func (e *Engine) upgrade(node int, block uint64, done func(sim.Time, coherence.Result)) {
+func (e *Engine) upgrade(node int, block uint64, done coherence.Done) {
 	h := e.home.Home(block)
-	sp := e.tr.Begin(node, e.k.Now())
-	finish := func(at sim.Time, trav int) {
-		if !e.caches[node].Upgrade(block) {
-			// Invalidated by a racing writer while our request was in
-			// flight; the permission grant still stands per the
-			// directory, so install fresh.
-			e.fill(node, block, coherence.WriteExclusive)
-		}
-		sp.End(at, coherence.Invalidation)
-		done(at, coherence.Result{Txn: coherence.Invalidation, Traversals: trav, Local: trav == 0})
-	}
+	t := e.newTxn(node, block, done)
+	t.home = h
+	t.sp = e.tr.Begin(node, e.k.Now())
 	if h == node {
-		e.banks[h].Access(func() {
-			sp.Mark(obs.PhaseAck, e.k.Now())
-			ln := e.dir.Line(block)
-			if sharedElsewhere(ln, node, node) {
-				ln.SetDirty(node)
-				grab := e.multicast(node, block, node, func(at sim.Time) { finish(at, 1) })
-				sp.Mark(obs.PhaseProbeGrab, grab)
-			} else {
-				ln.SetDirty(node)
-				finish(e.k.Now(), 0)
-			}
-		})
+		e.banks[h].AccessEvent(t.Await(stepUpgradeLocalGrant))
 		return
 	}
-	grab := e.probe(node, h, block, func(sim.Time) {
-		e.banks[h].Access(func() {
-			sp.Mark(obs.PhaseAck, e.k.Now())
-			ln := e.dir.Line(block)
-			if DebugUpgrade != nil {
-				DebugUpgrade(block, ln.NumSharers(), h, node, sharedElsewhere(ln, node, h))
-			}
-			if sharedElsewhere(ln, node, h) {
-				e.caches[h].Invalidate(block)
-				ln.SetDirty(node)
-				e.multicast(h, block, node, func(sim.Time) {
-					e.probe(h, node, block, func(at sim.Time) { finish(at, 2) })
-				})
-			} else {
-				e.caches[h].Invalidate(block)
-				ln.SetDirty(node)
-				e.probe(h, node, block, func(at sim.Time) { finish(at, 1) })
-			}
-		})
-	})
-	sp.Mark(obs.PhaseProbeGrab, grab)
+	grab := e.probe(node, h, block, t.Await(stepUpgradeRequest))
+	t.sp.Mark(obs.PhaseProbeGrab, grab)
+}
+
+// finishUpgrade grants the write permission trav traversals after the
+// request.
+func (t *txn) finishUpgrade(at sim.Time, trav int) {
+	if !t.e.caches[t.node].Upgrade(t.block) {
+		// Invalidated by a racing writer while our request was in
+		// flight; the permission grant still stands per the directory,
+		// so install fresh.
+		t.e.fill(t.node, t.block, coherence.WriteExclusive)
+	}
+	t.sp.End(at, coherence.Invalidation)
+	t.Finish(at, coherence.Result{Txn: coherence.Invalidation, Traversals: trav, Local: trav == 0})
 }
 
 // homeMapFor returns the configured home map, or builds the default

@@ -46,11 +46,11 @@ type Options struct {
 	Home *memory.HomeMap
 }
 
-// hmeta is the home-side and IRI-summary state of one block.
+// hmeta is the home-side state of one block; the IRIs' per-cluster
+// copy summary lives in Engine.copies under the same row index.
 type hmeta struct {
-	dirty  bool
-	owner  int
-	copies []int // cached copies per cluster (the IRIs' summary)
+	dirty bool
+	owner int
 }
 
 // Engine is a hierarchical snooping coherence engine.
@@ -64,7 +64,12 @@ type Engine struct {
 	caches   []*cache.Cache
 	banks    []*memory.Bank
 	home     *memory.HomeMap
-	meta     map[uint64]*hmeta
+	meta     *coherence.Table[hmeta]
+	// copies[i*clusters+c] counts the cached copies of meta row i's
+	// block in cluster c (the IRIs' summary).
+	copies    []int32
+	pool      coherence.Pool
+	sweepFree []*sweep
 
 	// WriteBacks counts dirty-eviction transfers.
 	WriteBacks uint64
@@ -97,7 +102,7 @@ func New(k *sim.Kernel, nodes int, opts Options) *Engine {
 		caches:   make([]*cache.Cache, nodes),
 		banks:    make([]*memory.Bank, nodes),
 		wbByNode: make([]uint64, nodes),
-		meta:     make(map[uint64]*hmeta),
+		meta:     coherence.NewTable(hmeta{owner: -1}),
 	}
 	gc := opts.Ring
 	gc.Nodes = opts.Clusters
@@ -184,18 +189,26 @@ func (e *Engine) HasBlock(node int, addr uint64) bool {
 	return c.State(c.BlockAddr(addr)) != coherence.Invalid
 }
 
-func (e *Engine) metaFor(block uint64) *hmeta {
-	m := e.meta[block]
-	if m == nil {
-		m = &hmeta{owner: -1, copies: make([]int, e.clusters)}
-		e.meta[block] = m
+// row returns block's meta row index, sizing its copy summary on first
+// touch.
+func (e *Engine) row(block uint64) int32 {
+	i := e.meta.Index(block)
+	if need := (int(i) + 1) * e.clusters; len(e.copies) < need {
+		e.copies = append(e.copies, make([]int32, need-len(e.copies))...)
 	}
-	return m
+	return i
+}
+
+// copiesOf returns row i's per-cluster copy counts; the slice is valid
+// until the next row call that adds a block.
+func (e *Engine) copiesOf(i int32) []int32 {
+	c := e.clusters
+	return e.copies[int(i)*c : (int(i)+1)*c]
 }
 
 // remoteCopies reports whether any cluster other than c holds a copy.
-func (m *hmeta) remoteCopies(c int) bool {
-	for i, n := range m.copies {
+func remoteCopies(copies []int32, c int) bool {
+	for i, n := range copies {
 		if i != c && n > 0 {
 			return true
 		}
@@ -204,7 +217,7 @@ func (m *hmeta) remoteCopies(c int) bool {
 }
 
 // Access implements the core engine interface.
-func (e *Engine) Access(node int, addr uint64, write bool, done func(at sim.Time, res coherence.Result)) {
+func (e *Engine) Access(node int, addr uint64, write bool, done coherence.Done) {
 	c := e.caches[node]
 	block := c.BlockAddr(addr)
 	switch c.Lookup(addr, write) {
@@ -222,9 +235,9 @@ func (e *Engine) Access(node int, addr uint64, write bool, done func(at sim.Time
 // invalidate drops node's copy and maintains the cluster summary.
 func (e *Engine) invalidate(node int, block uint64) {
 	if e.caches[node].Invalidate(block) != coherence.Invalid {
-		m := e.metaFor(block)
-		if c := e.cluster(node); m.copies[c] > 0 {
-			m.copies[c]--
+		cp := e.copiesOf(e.row(block))
+		if c := e.cluster(node); cp[c] > 0 {
+			cp[c]--
 		}
 	}
 }
@@ -233,13 +246,13 @@ func (e *Engine) invalidate(node int, block uint64) {
 // dirty victim.
 func (e *Engine) fill(node int, block uint64, st coherence.State) {
 	v := e.caches[node].Fill(block, st)
-	e.metaFor(block).copies[e.cluster(node)]++
+	e.copiesOf(e.row(block))[e.cluster(node)]++
 	if !v.Valid {
 		return
 	}
-	vm := e.metaFor(v.Block)
-	if c := e.cluster(node); vm.copies[c] > 0 {
-		vm.copies[c]--
+	vcp := e.copiesOf(e.row(v.Block))
+	if c := e.cluster(node); vcp[c] > 0 {
+		vcp[c]--
 	}
 	if v.Dirty {
 		e.writeBack(node, v.Block)
@@ -250,64 +263,99 @@ func (e *Engine) fill(node int, block uint64, st coherence.State) {
 // the core's per-processor warmup gating reads it.
 func (e *Engine) WriteBacksOf(node int) uint64 { return e.wbByNode[node] }
 
+// Transaction steps: where a txn waits, and what it does on resuming.
+const (
+	stepPathIRI     coherence.Step = iota // path's first leg reached the source cluster's IRI
+	stepPathGlobal                        // path's global leg reached the destination IRI
+	stepWBLand                            // write-back block reached the home
+	stepLocalMiss                         // home bank read of a purely local miss
+	stepProbed                            // miss probe reached the responder
+	stepFetched                           // responder's bank or cache fetch done: ship the block
+	stepArrive                            // data arrived: one branch of the join
+	stepToIRI                             // write's invalidation reached the local IRI
+	stepGlobalSweep                       // global invalidation passing an IRI, then back
+)
+
+// txn is one pooled coherence transaction: a miss, an upgrade or a
+// write-back.
+type txn struct {
+	coherence.Record
+	e           *Engine
+	node        int
+	home        int
+	responder   int
+	block       uint64
+	mi          int32 // the block's meta row
+	write       bool
+	upgrade     bool
+	dirtyRemote bool
+	class       coherence.Txn
+	trav        int
+	// The route of the one multi-leg message in flight: a, b and the
+	// slot class, and the step that resumes at b.
+	pathA, pathB int
+	pathClass    ring.SlotClass
+	pathDone     coherence.Step
+	// Join: data arrival plus (for writes) every invalidation sweep.
+	// The transaction completes at the latest arrival once registration
+	// is sealed and nothing is outstanding.
+	join   int
+	sealed bool
+	fired  bool
+	latest sim.Time
+}
+
+// newTxn opens a transaction for node on block; done is nil for
+// write-backs.
+func (e *Engine) newTxn(node int, block uint64, done coherence.Done) *txn {
+	t, _ := e.pool.Get().(*txn)
+	if t == nil {
+		t = &txn{e: e}
+		t.Bind(t, &e.pool)
+	}
+	t.Open(done)
+	t.node, t.block = node, block
+	t.write, t.upgrade = false, false
+	t.join, t.sealed, t.fired, t.latest = 0, false, false, 0
+	return t
+}
+
 // writeBack returns a dirty block to its home, off the critical path.
 func (e *Engine) writeBack(node int, block uint64) {
 	e.WriteBacks++
 	e.wbByNode[node]++
 	h := e.home.Home(block)
-	land := func(sim.Time) {
-		m := e.metaFor(block)
-		if m.dirty && m.owner == node {
-			m.dirty = false
-		}
-		e.banks[h].Access(nil)
-	}
 	if h == node {
-		land(e.k.Now())
+		e.land(node, h, block)
 		return
 	}
-	e.sendBlockPath(node, h, land)
+	t := e.newTxn(node, block, nil)
+	t.home = h
+	e.sendPath(t, node, h, ring.BlockSlot, stepWBLand)
+	t.Close()
 }
 
-// sendProbePath routes a point-to-point probe from node a to node b
-// through up to three ring legs (local → global → local).
-func (e *Engine) sendProbePath(a, b int, block uint64, arrived func(at sim.Time)) {
+// land absorbs a write-back at home h: the dirty bit clears if node
+// still owns the block, and the bank takes the write.
+func (e *Engine) land(node, h int, block uint64) {
+	m := e.meta.At(e.row(block))
+	if m.dirty && m.owner == node {
+		m.dirty = false
+	}
+	e.banks[h].Access(nil)
+}
+
+// sendPath routes a point-to-point message of the slot class from node
+// a to node b through up to three ring legs (local → global → local),
+// resuming t at done when it arrives.
+func (e *Engine) sendPath(t *txn, a, b int, class ring.SlotClass, done coherence.Step) {
 	ca, cb := e.cluster(a), e.cluster(b)
-	class := e.locals[ca].Geo.ProbeClassFor(block)
 	if ca == cb {
-		e.locals[ca].Send(e.local(a), e.local(b), class, nil, func(at sim.Time) { arrived(at) })
+		e.locals[ca].SendEvent(e.local(a), e.local(b), class, t.Await(done))
 		return
 	}
-	e.locals[ca].Send(e.local(a), e.iri(), class, nil, func(sim.Time) {
-		e.global.Send(ca, cb, class, nil, func(sim.Time) {
-			e.locals[cb].Send(e.iri(), e.local(b), class, nil, func(at sim.Time) { arrived(at) })
-		})
-	})
-}
-
-// sendBlockPath routes a block message likewise.
-func (e *Engine) sendBlockPath(a, b int, delivered func(at sim.Time)) {
-	ca, cb := e.cluster(a), e.cluster(b)
-	if ca == cb {
-		e.locals[ca].Send(e.local(a), e.local(b), ring.BlockSlot, nil, func(at sim.Time) { delivered(at) })
-		return
-	}
-	e.locals[ca].Send(e.local(a), e.iri(), ring.BlockSlot, nil, func(sim.Time) {
-		e.global.Send(ca, cb, ring.BlockSlot, nil, func(sim.Time) {
-			e.locals[cb].Send(e.iri(), e.local(b), ring.BlockSlot, nil, func(at sim.Time) { delivered(at) })
-		})
-	})
-}
-
-// supply fetches the block at the responder (bank at the clean home,
-// cache at a dirty owner) and ships it to the requester.
-func (e *Engine) supply(responder, requester int, fromCache bool, delivered func(at sim.Time)) {
-	send := func() { e.sendBlockPath(responder, requester, delivered) }
-	if fromCache {
-		e.k.After(CacheSupplyTime, send)
-	} else {
-		e.banks[responder].Access(send)
-	}
+	t.pathA, t.pathB, t.pathClass, t.pathDone = a, b, class, done
+	e.locals[ca].SendEvent(e.local(a), e.iri(), class, t.Await(stepPathIRI))
 }
 
 // DebugGlobal, when non-nil, observes each miss's routing decision.
@@ -315,195 +363,238 @@ func (e *Engine) supply(responder, requester int, fromCache bool, delivered func
 var DebugGlobal func(block uint64, global, remoteResponder, dirty, write bool)
 
 // miss services a read or write miss.
-func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, coherence.Result)) {
-	m := e.metaFor(block)
+func (e *Engine) miss(node int, block uint64, write bool, done coherence.Done) {
+	mi := e.row(block)
+	m := e.meta.At(mi)
+	cp := e.copiesOf(mi)
 	h := e.home.Home(block)
 	cn := e.cluster(node)
 	dirtyRemote := m.dirty && m.owner != node
+	t := e.newTxn(node, block, done)
+	t.mi, t.write, t.dirtyRemote = mi, write, dirtyRemote
 
 	// Pure local: clean block homed here, and (for writes) no copies
 	// anywhere else per the IRI summary.
-	soleCopies := !m.remoteCopies(cn) && m.copies[cn] == 0
+	soleCopies := !remoteCopies(cp, cn) && cp[cn] == 0
 	if h == node && !dirtyRemote && (!write || soleCopies) {
-		e.banks[h].Access(func() {
-			st := coherence.ReadShared
-			if write {
-				st = coherence.WriteExclusive
-				m.dirty = true
-				m.owner = node
-			}
-			e.fill(node, block, st)
-			txn := coherence.ReadMissClean
-			if write {
-				txn = coherence.WriteMissClean
-			}
-			done(e.k.Now(), coherence.Result{Txn: txn, Local: true})
-		})
+		e.banks[h].AccessEvent(t.Await(stepLocalMiss))
 		return
 	}
 
-	responder := h
+	t.responder = h
 	if dirtyRemote {
-		responder = m.owner
+		t.responder = m.owner
 	}
-	txn := coherence.ReadMissClean
+	t.class = coherence.ReadMissClean
 	switch {
 	case write && dirtyRemote:
-		txn = coherence.WriteMissDirty
+		t.class = coherence.WriteMissDirty
 	case write:
-		txn = coherence.WriteMissClean
+		t.class = coherence.WriteMissClean
 	case dirtyRemote:
-		txn = coherence.ReadMissDirty
+		t.class = coherence.ReadMissDirty
 	}
 
-	needGlobal := e.cluster(responder) != cn || (write && m.remoteCopies(cn))
-	trav := 1
+	needGlobal := e.cluster(t.responder) != cn || (write && remoteCopies(cp, cn))
+	t.trav = 1
 	e.Txns++
 	if needGlobal {
-		trav = 2
+		t.trav = 2
 		e.GlobalTxns++
 	}
 	if DebugGlobal != nil {
-		DebugGlobal(block, needGlobal, e.cluster(responder) != cn, dirtyRemote, write)
+		DebugGlobal(block, needGlobal, e.cluster(t.responder) != cn, dirtyRemote, write)
 	}
 
-	// Join: data arrival plus (for writes) every invalidation sweep.
-	j := newJoin(func(at sim.Time) {
-		st := coherence.ReadShared
-		if write {
-			st = coherence.WriteExclusive
-			m.dirty = true
-			m.owner = node
-		} else if dirtyRemote {
-			m.dirty = false
-		}
-		e.fill(node, block, st)
-		done(at, coherence.Result{Txn: txn, Traversals: trav})
-	})
-
 	if write {
-		e.sweeps(node, block, m, j)
+		e.sweeps(t)
 	}
 
 	// Data path.
-	j.add()
-	if responder == node {
+	t.join++
+	if t.responder == node {
 		// Write miss on a clean block homed here with remote copies:
 		// the data is local, the sweeps do the rest.
-		e.banks[node].Access(func() { j.arrive(e.k.Now()) })
+		e.banks[node].AccessEvent(t.Await(stepArrive))
 	} else {
-		e.sendProbePath(node, responder, block, func(sim.Time) {
-			if dirtyRemote {
-				if write {
-					e.invalidate(responder, block)
-				} else {
-					e.caches[responder].Downgrade(block)
-				}
-				e.supply(responder, node, true, func(at sim.Time) { j.arrive(at) })
-			} else {
-				e.supply(responder, node, false, func(at sim.Time) { j.arrive(at) })
-			}
-		})
+		e.sendPath(t, node, t.responder, e.locals[cn].Geo.ProbeClassFor(block), stepProbed)
 	}
-	j.seal()
+	t.seal()
+}
+
+// Resume runs one step of the transaction.
+func (t *txn) Resume(step coherence.Step, visited int, at sim.Time) {
+	e := t.e
+	switch step {
+	case stepPathIRI:
+		e.global.SendEvent(e.cluster(t.pathA), e.cluster(t.pathB), t.pathClass, t.Await(stepPathGlobal))
+	case stepPathGlobal:
+		e.locals[e.cluster(t.pathB)].SendEvent(e.iri(), e.local(t.pathB), t.pathClass, t.Await(t.pathDone))
+	case stepWBLand:
+		e.land(t.node, t.home, t.block)
+	case stepLocalMiss:
+		st := coherence.ReadShared
+		if t.write {
+			st = coherence.WriteExclusive
+			m := e.meta.At(t.mi)
+			m.dirty = true
+			m.owner = t.node
+		}
+		e.fill(t.node, t.block, st)
+		class := coherence.ReadMissClean
+		if t.write {
+			class = coherence.WriteMissClean
+		}
+		t.Finish(e.k.Now(), coherence.Result{Txn: class, Local: true})
+	case stepProbed:
+		r := t.responder
+		if t.dirtyRemote {
+			if t.write {
+				e.invalidate(r, t.block)
+			} else {
+				e.caches[r].Downgrade(t.block)
+			}
+			e.k.AfterEvent(CacheSupplyTime, t.Await(stepFetched))
+		} else {
+			e.banks[r].AccessEvent(t.Await(stepFetched))
+		}
+	case stepFetched:
+		e.sendPath(t, t.responder, t.node, ring.BlockSlot, stepArrive)
+	case stepArrive:
+		t.arrive(e.k.Now())
+	case stepToIRI:
+		cn := e.cluster(t.node)
+		e.global.SendEvent(cn, ring.Broadcast, e.locals[cn].Geo.ProbeClassFor(t.block), t.Await(stepGlobalSweep))
+	case stepGlobalSweep:
+		if visited < 0 {
+			t.arrive(at)
+			return
+		}
+		// Each IRI whose cluster holds copies injects a local sweep.
+		if e.copiesOf(t.mi)[visited] == 0 {
+			return
+		}
+		t.join++
+		e.locals[visited].SendEvent(e.iri(), ring.Broadcast, e.locals[visited].Geo.ProbeClassFor(t.block), e.newSweep(t, visited))
+	}
 }
 
 // sweeps launches the invalidation sweeps a write needs: a broadcast on
 // the requester's local ring, and — when the IRI summary shows copies
 // elsewhere — a global broadcast that injects a sweep into every
 // cluster holding copies.
-func (e *Engine) sweeps(node int, block uint64, m *hmeta, j *join) {
-	cn := e.cluster(node)
-	class := e.locals[cn].Geo.ProbeClassFor(block)
+func (e *Engine) sweeps(t *txn) {
+	cn := e.cluster(t.node)
+	class := e.locals[cn].Geo.ProbeClassFor(t.block)
 
 	// Local sweep from the requester.
-	j.add()
-	e.locals[cn].Send(e.local(node), ring.Broadcast, class,
-		func(visited int, _ sim.Time) {
-			if visited < e.perClus { // skip the IRI position
-				e.invalidate(cn*e.perClus+visited, block)
-			}
-		},
-		func(at sim.Time) { j.arrive(at) })
+	t.join++
+	e.locals[cn].SendEvent(e.local(t.node), ring.Broadcast, class, e.newSweep(t, cn))
 
-	if !m.remoteCopies(cn) {
+	if !remoteCopies(e.copiesOf(t.mi), cn) {
 		return
 	}
 	// Global sweep: the IRI forwards the invalidation around the global
-	// ring; each IRI whose cluster holds copies injects a local sweep.
-	j.add()
-	e.locals[cn].Send(e.local(node), e.iri(), class, nil, func(sim.Time) {
-		e.global.Send(cn, ring.Broadcast, class,
-			func(cluster int, _ sim.Time) {
-				if m.copies[cluster] == 0 {
-					return
-				}
-				j.add()
-				e.locals[cluster].Send(e.iri(), ring.Broadcast, class,
-					func(visited int, _ sim.Time) {
-						if visited < e.perClus {
-							e.invalidate(cluster*e.perClus+visited, block)
-						}
-					},
-					func(at sim.Time) { j.arrive(at) })
-			},
-			func(at sim.Time) { j.arrive(at) })
-	})
+	// ring (stepToIRI, then stepGlobalSweep).
+	t.join++
+	e.locals[cn].SendEvent(e.local(t.node), e.iri(), class, t.Await(stepToIRI))
+}
+
+// arrive records one joined branch's arrival at time at.
+func (t *txn) arrive(at sim.Time) {
+	if at > t.latest {
+		t.latest = at
+	}
+	t.join--
+	t.maybeFire()
+}
+
+// seal marks the join's registration complete.
+func (t *txn) seal() {
+	t.sealed = true
+	t.maybeFire()
+}
+
+// maybeFire completes the transaction at the latest arrival once the
+// join is sealed and every branch has arrived.
+func (t *txn) maybeFire() {
+	if !t.sealed || t.join != 0 || t.fired {
+		return
+	}
+	t.fired = true
+	e, at := t.e, t.latest
+	if t.upgrade {
+		if !e.caches[t.node].Upgrade(t.block) {
+			e.fill(t.node, t.block, coherence.WriteExclusive)
+		}
+		m := e.meta.At(t.mi)
+		m.dirty = true
+		m.owner = t.node
+		t.Finish(at, coherence.Result{Txn: coherence.Invalidation, Traversals: t.trav})
+		return
+	}
+	st := coherence.ReadShared
+	m := e.meta.At(t.mi)
+	if t.write {
+		st = coherence.WriteExclusive
+		m.dirty = true
+		m.owner = t.node
+	} else if t.dirtyRemote {
+		m.dirty = false
+	}
+	e.fill(t.node, t.block, st)
+	t.Finish(at, coherence.Result{Txn: t.class, Traversals: t.trav})
+}
+
+// sweep is one local-ring invalidation broadcast of a write: it
+// invalidates every processor of its cluster it passes (the IRI's
+// position is skipped) and joins the transaction when it returns.
+type sweep struct {
+	t       *txn
+	cluster int
+}
+
+func (e *Engine) newSweep(t *txn, cluster int) *sweep {
+	var s *sweep
+	if n := len(e.sweepFree); n > 0 {
+		s = e.sweepFree[n-1]
+		e.sweepFree = e.sweepFree[:n-1]
+	} else {
+		s = &sweep{}
+	}
+	s.t, s.cluster = t, cluster
+	return s
+}
+
+// OnVisit invalidates the visited processor's copy.
+func (s *sweep) OnVisit(visited int, _ sim.Time) {
+	e := s.t.e
+	if visited < e.perClus {
+		e.invalidate(s.cluster*e.perClus+visited, s.t.block)
+	}
+}
+
+// OnEvent joins the returned sweep; the record is recycled first.
+func (s *sweep) OnEvent(at sim.Time) {
+	t := s.t
+	s.t = nil
+	t.e.sweepFree = append(t.e.sweepFree, s)
+	t.arrive(at)
 }
 
 // upgrade services an invalidation request.
-func (e *Engine) upgrade(node int, block uint64, done func(sim.Time, coherence.Result)) {
-	m := e.metaFor(block)
+func (e *Engine) upgrade(node int, block uint64, done coherence.Done) {
+	mi := e.row(block)
 	cn := e.cluster(node)
-	needGlobal := m.remoteCopies(cn)
-	trav := 1
+	needGlobal := remoteCopies(e.copiesOf(mi), cn)
+	t := e.newTxn(node, block, done)
+	t.mi, t.upgrade = mi, true
+	t.trav = 1
 	e.Txns++
 	if needGlobal {
-		trav = 2
+		t.trav = 2
 		e.GlobalTxns++
 	}
-	j := newJoin(func(at sim.Time) {
-		if !e.caches[node].Upgrade(block) {
-			e.fill(node, block, coherence.WriteExclusive)
-		}
-		m.dirty = true
-		m.owner = node
-		done(at, coherence.Result{Txn: coherence.Invalidation, Traversals: trav})
-	})
-	e.sweeps(node, block, m, j)
-	j.seal()
-}
-
-// join runs a completion callback once every registered event has
-// arrived; seal marks registration complete.
-type join struct {
-	pending int
-	sealed  bool
-	fired   bool
-	latest  sim.Time
-	then    func(at sim.Time)
-}
-
-func newJoin(then func(at sim.Time)) *join { return &join{then: then} }
-
-func (j *join) add() { j.pending++ }
-
-func (j *join) arrive(at sim.Time) {
-	if at > j.latest {
-		j.latest = at
-	}
-	j.pending--
-	j.maybeFire()
-}
-
-func (j *join) seal() {
-	j.sealed = true
-	j.maybeFire()
-}
-
-func (j *join) maybeFire() {
-	if j.sealed && j.pending == 0 && !j.fired {
-		j.fired = true
-		j.then(j.latest)
-	}
+	e.sweeps(t)
+	t.seal()
 }

@@ -201,13 +201,13 @@ func TestSummaryTracksCopies(t *testing.T) {
 	e.HomeMap().Place(0x8000, 1)
 	access(k, e, 0, 0x8000, false)
 	access(k, e, 5, 0x8000, false)
-	m := e.metaFor(e.caches[0].BlockAddr(0x8000))
-	if m.copies[0] != 1 || m.copies[1] != 1 {
-		t.Fatalf("copies = %v, want [1 1]", m.copies)
+	copies := func() []int32 { return e.copiesOf(e.row(e.caches[0].BlockAddr(0x8000))) }
+	if c := copies(); c[0] != 1 || c[1] != 1 {
+		t.Fatalf("copies = %v, want [1 1]", c)
 	}
 	access(k, e, 4, 0x8000, true) // write from cluster 1 purges all
-	if m.copies[0] != 0 || m.copies[1] != 1 {
-		t.Fatalf("copies after write = %v, want [0 1]", m.copies)
+	if c := copies(); c[0] != 0 || c[1] != 1 {
+		t.Fatalf("copies after write = %v, want [0 1]", c)
 	}
 }
 
@@ -254,11 +254,11 @@ func TestConsistencyUnderRandomTraffic(t *testing.T) {
 			if writers > 1 {
 				t.Fatalf("block %#x has %d writers", b, writers)
 			}
-			m := e.metaFor(b)
+			copies := e.copiesOf(e.row(b))
 			for c := range perCluster {
-				if m.copies[c] != perCluster[c] {
+				if int(copies[c]) != perCluster[c] {
 					t.Fatalf("block %#x cluster %d: summary %d vs actual %d",
-						b, c, m.copies[c], perCluster[c])
+						b, c, copies[c], perCluster[c])
 				}
 			}
 		}

@@ -173,23 +173,17 @@ func (d *Directory) Line(block uint64) *Line {
 	return ln
 }
 
-// Sharers returns the nodes with the presence bit set, ascending.
-func (l *Line) Sharers() []int {
-	var out []int
-	p := l.presence
-	for p != 0 {
-		n := bits.TrailingZeros64(p)
-		out = append(out, n)
-		p &^= 1 << uint(n)
-	}
-	return out
-}
-
 // NumSharers returns the presence-bit population count.
 func (l *Line) NumSharers() int { return bits.OnesCount64(l.presence) }
 
 // HasSharer reports whether node's presence bit is set.
 func (l *Line) HasSharer(node int) bool { return l.presence&(1<<uint(node)) != 0 }
+
+// HasSharerBesides reports whether any presence bit other than a's and
+// b's is set.
+func (l *Line) HasSharerBesides(a, b int) bool {
+	return l.presence&^(1<<uint(a)|1<<uint(b)) != 0
+}
 
 // AddSharer sets node's presence bit and links it at the head of the
 // SCI sharing list (SCI prepends new sharers, making the home's head
@@ -246,16 +240,18 @@ func (l *Line) SetDirty(node int) {
 	l.Owner = node
 }
 
-// List returns the sharing list in SCI order (head first).
-func (l *Line) List() []int {
-	var out []int
+// AppendList appends the sharing list in SCI order (head first) to dst
+// and returns the extended slice; callers that walk lists on a hot path
+// pass a reused buffer.
+func (l *Line) AppendList(dst []int) []int {
+	n := 0
 	for cur := l.Head; cur >= 0; cur = int(l.next[cur]) {
-		out = append(out, cur)
-		if len(out) > 64 {
+		dst = append(dst, cur)
+		if n++; n > 64 {
 			panic("memory: sharing list cycle")
 		}
 	}
-	return out
+	return dst
 }
 
 // Bank is one node's memory bank: a single server with the paper's
@@ -271,6 +267,10 @@ func NewBank(k *sim.Kernel, name string) *Bank {
 
 // Access queues one 140 ns bank access; done runs when it completes.
 func (b *Bank) Access(done func()) { b.res.Use(BankTime, done) }
+
+// AccessEvent is Access completing into a pooled handler: h.OnEvent
+// fires when the access completes.
+func (b *Bank) AccessEvent(h sim.EventHandler) { b.res.UseEvent(BankTime, h) }
 
 // Utilization reports the bank's time-averaged utilization.
 func (b *Bank) Utilization() float64 { return b.res.Utilization() }

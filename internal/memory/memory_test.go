@@ -94,9 +94,11 @@ func TestSharerSetOperations(t *testing.T) {
 	if !ln.HasSharer(3) || !ln.HasSharer(7) || ln.HasSharer(5) {
 		t.Fatal("HasSharer wrong")
 	}
-	got := ln.Sharers()
-	if len(got) != 2 || got[0] != 3 || got[1] != 7 {
-		t.Fatalf("Sharers() = %v, want [3 7]", got)
+	if !ln.HasSharerBesides(3, 5) || ln.HasSharerBesides(3, 7) || ln.HasSharerBesides(7, 3) {
+		t.Fatal("HasSharerBesides wrong")
+	}
+	if buf := ln.AppendList([]int{42}); len(buf) != 3 || buf[0] != 42 || buf[1] != 7 || buf[2] != 3 {
+		t.Fatalf("AppendList = %v, want [42 7 3]", buf)
 	}
 	ln.RemoveSharer(3)
 	if ln.HasSharer(3) || ln.NumSharers() != 1 {
@@ -111,16 +113,16 @@ func TestSCIListOrder(t *testing.T) {
 	ln.AddSharer(5)
 	ln.AddSharer(9)
 	// SCI prepends: head is the most recent requester.
-	got := ln.List()
+	got := ln.AppendList(nil)
 	want := []int{9, 5, 2}
 	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Fatalf("List() = %v, want %v", got, want)
+		t.Fatalf("AppendList = %v, want %v", got, want)
 	}
 	// Removing the middle keeps the chain intact.
 	ln.RemoveSharer(5)
-	got = ln.List()
+	got = ln.AppendList(nil)
 	if len(got) != 2 || got[0] != 9 || got[1] != 2 {
-		t.Fatalf("List() after middle removal = %v, want [9 2]", got)
+		t.Fatalf("AppendList after middle removal = %v, want [9 2]", got)
 	}
 	// Removing the head advances the head pointer.
 	ln.RemoveSharer(9)
@@ -140,8 +142,8 @@ func TestSetDirtyCollapses(t *testing.T) {
 	if ln.NumSharers() != 1 || !ln.HasSharer(6) {
 		t.Fatal("SetDirty did not collapse presence to owner")
 	}
-	if lst := ln.List(); len(lst) != 1 || lst[0] != 6 {
-		t.Fatalf("List() = %v, want [6]", lst)
+	if lst := ln.AppendList(nil); len(lst) != 1 || lst[0] != 6 {
+		t.Fatalf("AppendList = %v, want [6]", lst)
 	}
 	// Removing the owner clears dirty.
 	ln.RemoveSharer(6)
@@ -154,7 +156,7 @@ func TestClearSharers(t *testing.T) {
 	ln := NewDirectory().Line(0)
 	ln.SetDirty(3)
 	ln.ClearSharers()
-	if ln.Dirty || ln.NumSharers() != 0 || ln.Head != -1 || len(ln.List()) != 0 {
+	if ln.Dirty || ln.NumSharers() != 0 || ln.Head != -1 || len(ln.AppendList(nil)) != 0 {
 		t.Fatalf("ClearSharers left state: %+v", ln)
 	}
 }
@@ -182,7 +184,7 @@ func TestListMatchesPresenceInvariant(t *testing.T) {
 				ln.RemoveSharer(node)
 			}
 		}
-		list := ln.List()
+		list := ln.AppendList(nil)
 		if len(list) != ln.NumSharers() {
 			return false
 		}

@@ -131,6 +131,36 @@ func (r *Ring) earliestGrab(i, src int, now sim.Time) sim.Time {
 // done (if non-nil) fires at the removal time. Send returns the grab
 // time (when the slot head physically passed src) and the removal time.
 func (r *Ring) Send(src, dst int, class SlotClass, visit func(node int, at sim.Time), done func(at sim.Time)) (grab, removal sim.Time) {
+	grab, removal = r.reserve(src, dst, class)
+	launchSweep(r.k, &r.pool, &r.Geo, src, dst, grab, removal, target{visit: visit, done: done})
+	return grab, removal
+}
+
+// Handler is the allocation-free target of SendEvent: a pooled object
+// that observes a broadcast's visits and the message's removal.
+type Handler interface {
+	// OnEvent fires at the removal time.
+	sim.EventHandler
+	// OnVisit fires as a broadcast passes each node other than its
+	// sender.
+	OnVisit(node int, at sim.Time)
+}
+
+// SendEvent is Send for pooled handlers. A Broadcast visits h at every
+// other node; a point-to-point message has no visits (no protocol
+// engine observes the nodes between source and destination). h.OnEvent
+// fires at the removal time. The kernel sequence numbers consumed are
+// exactly those of the equivalent Send, so the two are interchangeable
+// without perturbing a run.
+func (r *Ring) SendEvent(src, dst int, class SlotClass, h Handler) (grab, removal sim.Time) {
+	grab, removal = r.reserve(src, dst, class)
+	launchSweep(r.k, &r.pool, &r.Geo, src, dst, grab, removal, target{h: h, visits: dst == Broadcast})
+	return grab, removal
+}
+
+// reserve claims the slot of the class with the earliest usable pass at
+// src and accounts the message, returning its grab and removal times.
+func (r *Ring) reserve(src, dst int, class SlotClass) (grab, removal sim.Time) {
 	g := &r.Geo
 	if src < 0 || src >= g.Nodes {
 		panic(fmt.Sprintf("ring: bad source node %d", src))
@@ -176,8 +206,6 @@ func (r *Ring) Send(src, dst int, class SlotClass, visit func(node int, at sim.T
 	if r.OnMessage != nil {
 		r.OnMessage(class, grab, removal)
 	}
-
-	launchSweep(r.k, &r.pool, g, src, dst, grab, removal, visit, done)
 	return grab, removal
 }
 

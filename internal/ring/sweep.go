@@ -40,6 +40,35 @@ func (p *msgPool) get() *sweepMsg {
 	return m
 }
 
+// target is where one message's visits and removal are delivered:
+// either Send's visit/done closures, or a SendEvent Handler with visits
+// requested explicitly.
+type target struct {
+	visit  func(node int, at sim.Time)
+	done   func(at sim.Time)
+	h      Handler
+	visits bool
+}
+
+func (t *target) hasVisits() bool { return t.visit != nil || (t.h != nil && t.visits) }
+func (t *target) hasDone() bool   { return t.done != nil || t.h != nil }
+
+func (t *target) fireVisit(node int, at sim.Time) {
+	if t.h != nil {
+		t.h.OnVisit(node, at)
+		return
+	}
+	t.visit(node, at)
+}
+
+func (t *target) fireDone(at sim.Time) {
+	if t.h != nil {
+		t.h.OnEvent(at)
+		return
+	}
+	t.done(at)
+}
+
 // sweepMsg is the schedule of one in-flight message: its precomputed
 // visit hops and removal instant. It implements sim.EventHandler and
 // re-arms itself for the next hop from inside each dispatch.
@@ -47,8 +76,7 @@ type sweepMsg struct {
 	k       *sim.Kernel
 	pool    *msgPool
 	clock   sim.Time
-	visit   func(node int, at sim.Time)
-	done    func(at sim.Time)
+	to      target
 	grab    sim.Time
 	removal sim.Time
 	baseSeq uint64
@@ -61,29 +89,28 @@ type sweepMsg struct {
 // pool does not pin caller state between messages; the hops slice keeps
 // its capacity.
 func (m *sweepMsg) release() {
-	m.visit, m.done = nil, nil
+	m.to = target{}
 	m.hops = m.hops[:0]
 	m.idx = 0
 	m.next = m.pool.free
 	m.pool.free = m
 }
 
-// launchSweep schedules the visit/done callbacks for one message sent
-// from src toward dst (Broadcast for a full traversal) that grabbed its
-// slot at grab and is removed at removal. It reproduces the seed
-// scheduler's skip logic and sequence-number consumption exactly; see
-// the package comment above.
-func launchSweep(k *sim.Kernel, p *msgPool, g *Geometry, src, dst int, grab, removal sim.Time,
-	visit func(node int, at sim.Time), done func(at sim.Time)) {
-	if visit == nil && done == nil {
+// launchSweep schedules the visits and removal of one message sent from
+// src toward dst (Broadcast for a full traversal) that grabbed its slot
+// at grab and is removed at removal. It reproduces the seed scheduler's
+// skip logic and sequence-number consumption exactly; see the package
+// comment above.
+func launchSweep(k *sim.Kernel, p *msgPool, g *Geometry, src, dst int, grab, removal sim.Time, to target) {
+	if !to.hasVisits() && !to.hasDone() {
 		return
 	}
 	m := p.get()
 	m.k = k
 	m.clock = g.ClockPS
-	m.visit, m.done = visit, done
+	m.to = to
 	m.grab, m.removal = grab, removal
-	if visit != nil {
+	if to.hasVisits() {
 		last := g.Nodes // broadcast: everyone but src
 		if dst != Broadcast {
 			last = g.DistStages(src, dst) // only nodes strictly before dst
@@ -98,7 +125,7 @@ func launchSweep(k *sim.Kernel, p *msgPool, g *Geometry, src, dst int, grab, rem
 		}
 	}
 	n := len(m.hops)
-	if done != nil {
+	if to.hasDone() {
 		n++
 	}
 	if n == 0 {
@@ -122,21 +149,19 @@ func (m *sweepMsg) OnEvent(at sim.Time) {
 	if m.idx < len(m.hops) {
 		h := m.hops[m.idx]
 		m.idx++
-		visit := m.visit
+		to := m.to
 		if m.idx < len(m.hops) {
 			nh := m.hops[m.idx]
 			m.k.AtReserved(m.grab+sim.Time(nh.d)*m.clock, m.baseSeq+uint64(m.idx), m)
-		} else if m.done != nil {
+		} else if to.hasDone() {
 			m.k.AtReserved(m.removal, m.baseSeq+uint64(len(m.hops)), m)
 		} else {
 			m.release()
-			visit(int(h.node), at)
-			return
 		}
-		visit(int(h.node), at)
+		to.fireVisit(int(h.node), at)
 		return
 	}
-	done, removal := m.done, m.removal
+	to, removal := m.to, m.removal
 	m.release()
-	done(removal)
+	to.fireDone(removal)
 }

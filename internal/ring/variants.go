@@ -90,7 +90,7 @@ func (t *TokenRing) Send(src, dst int, class SlotClass, visit func(node int, at 
 	t.waitSum += grab - now
 	t.transit += removal - grab
 
-	launchSweep(t.k, &t.pool, g, src, dst, grab, removal, visit, done)
+	launchSweep(t.k, &t.pool, g, src, dst, grab, removal, target{visit: visit, done: done})
 	return grab, removal
 }
 

@@ -55,6 +55,7 @@ type Engine struct {
 	banks  []*memory.Bank
 	home   *memory.HomeMap
 	dir    *memory.Directory
+	pool   coherence.Pool
 
 	// WriteBacks counts dirty-eviction block messages.
 	WriteBacks uint64
@@ -99,7 +100,7 @@ func (e *Engine) HomeMap() *memory.HomeMap { return e.home }
 func (e *Engine) Directory() *memory.Directory { return e.dir }
 
 // Access performs one data reference for node; done fires at completion.
-func (e *Engine) Access(node int, addr uint64, write bool, done func(at sim.Time, res coherence.Result)) {
+func (e *Engine) Access(node int, addr uint64, write bool, done coherence.Done) {
 	c := e.caches[node]
 	block := c.BlockAddr(addr)
 	switch c.Lookup(addr, write) {
@@ -114,6 +115,61 @@ func (e *Engine) Access(node int, addr uint64, write bool, done func(at sim.Time
 	}
 }
 
+// Transaction steps: where a txn waits, and what it does on resuming.
+const (
+	stepWBArrive       coherence.Step = iota // write-back block reached the home
+	stepWBLand                               // home bank absorbed the write-back
+	stepRequest                              // miss request reached the home
+	stepHomeGrant                            // home's bank granted the miss
+	stepHeadRequest                          // request forwarded to the list head arrived
+	stepHeadFetched                          // head's cache fetch done: ship the block
+	stepData                                 // block arrived: the miss completes
+	stepWriteData                            // block arrived while the purge may still run
+	stepWalk                                 // purge probe reached the next list member
+	stepUpgradeRequest                       // upgrade request reached the home
+	stepUpgradeGrant                         // home's bank granted the upgrade
+	stepUpgradeAck                           // upgrade's final ack reached the requester
+)
+
+// txn is one pooled coherence transaction: a miss, an upgrade or a
+// write-back.
+type txn struct {
+	coherence.Record
+	e          *Engine
+	node       int
+	home       int
+	head       int
+	block      uint64
+	write      bool
+	upgrade    bool
+	wasDirty   bool
+	class      coherence.Txn
+	pathToHome int
+	purgeDist  int
+	trav       int
+	dataAt     sim.Time
+	purgeAt    sim.Time
+	// members is the purge chain walked by stepWalk (a reused buffer);
+	// walkIdx indexes the member the current probe left from.
+	members []int
+	walkIdx int
+}
+
+// newTxn opens a transaction for node on block; done is nil for
+// write-backs.
+func (e *Engine) newTxn(node int, block uint64, done coherence.Done) *txn {
+	t, _ := e.pool.Get().(*txn)
+	if t == nil {
+		t = &txn{e: e}
+		t.Bind(t, &e.pool)
+	}
+	t.Open(done)
+	t.node, t.block, t.home = node, block, e.home.Home(block)
+	t.write, t.upgrade = false, false
+	t.members = t.members[:0]
+	return t
+}
+
 // fill installs a block; dirty victims write back, clean shared victims
 // silently unlink from their sharing list.
 func (e *Engine) fill(node int, block uint64, st coherence.State) {
@@ -124,35 +180,28 @@ func (e *Engine) fill(node int, block uint64, st coherence.State) {
 	if v.Dirty {
 		e.WriteBacks++
 		e.wbByNode[node]++
-		h := e.home.Home(v.Block)
-		land := func() {
-			e.banks[h].Access(func() { e.dir.Line(v.Block).RemoveSharer(node) })
-		}
-		if h == node {
-			land()
+		t := e.newTxn(node, v.Block, nil)
+		if t.home == node {
+			e.banks[node].AccessEvent(t.Await(stepWBLand))
 		} else {
-			vb := v.Block
-			e.ring.Send(node, h, ring.BlockSlot, nil, func(sim.Time) { _ = vb; land() })
+			e.ring.SendEvent(node, t.home, ring.BlockSlot, t.Await(stepWBArrive))
 		}
+		t.Close()
 	} else {
 		e.dir.Line(v.Block).RemoveSharer(node)
 	}
 }
 
-// probe sends a point-to-point probe in the block's parity slot. A
-// zero-distance hop (the home is itself the list head, or adjacent
-// list members coincide) completes immediately without ring traffic.
-func (e *Engine) probe(src, dst int, block uint64, arrived func(at sim.Time)) {
+// probe sends a point-to-point probe in the block's parity slot that
+// resumes t at step on arrival. A zero-distance hop (the home is itself
+// the list head, or adjacent list members coincide) resumes it at once
+// without ring traffic.
+func (e *Engine) probe(src, dst int, t *txn, step coherence.Step) {
 	if src == dst {
-		arrived(e.k.Now())
+		t.Resume(step, -1, e.k.Now())
 		return
 	}
-	e.ring.Send(src, dst, e.ring.Geo.ProbeClassFor(block), nil, func(at sim.Time) { arrived(at) })
-}
-
-// sendBlock ships one block message src → dst.
-func (e *Engine) sendBlock(src, dst int, delivered func(at sim.Time)) {
-	e.ring.Send(src, dst, ring.BlockSlot, nil, func(at sim.Time) { delivered(at) })
+	e.ring.SendEvent(src, dst, e.ring.Geo.ProbeClassFor(t.block), t.Await(step))
 }
 
 // traversals converts a serial path length in stages into ring
@@ -170,121 +219,197 @@ func (e *Engine) traversals(stages int) int {
 }
 
 // miss services a read or write miss.
-func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, coherence.Result)) {
-	h := e.home.Home(block)
-	g := &e.ring.Geo
-	afterHome := func(pathToHome int) {
-		e.banks[h].Access(func() {
-			ln := e.dir.Line(block)
-			head := ln.Head
-			wasDirty := ln.Dirty
-
-			if head < 0 || head == node {
-				// Uncached (or our own stale entry): home supplies.
-				txn := coherence.ReadMissClean
-				if write {
-					txn = coherence.WriteMissClean
-					ln.ClearSharers()
-					ln.SetDirty(node)
-				} else {
-					ln.RemoveSharer(node)
-					ln.AddSharer(node)
-				}
-				if h == node {
-					e.fill(node, block, fillState(write))
-					done(e.k.Now(), coherence.Result{Txn: txn, Local: true})
-					return
-				}
-				e.sendBlock(h, node, func(at sim.Time) {
-					e.fill(node, block, fillState(write))
-					trav := e.traversals(pathToHome + g.DistStages(h, node))
-					done(at, coherence.Result{Txn: txn, Traversals: trav, Class: missClass(wasDirty, trav)})
-				})
-				return
-			}
-
-			// Cached: the head services the request.
-			txn := coherence.ReadMissClean
-			if wasDirty {
-				txn = coherence.ReadMissDirty
-			}
-			if write {
-				txn = coherence.WriteMissClean
-				if wasDirty {
-					txn = coherence.WriteMissDirty
-				}
-			}
-			if !write {
-				// Read: requester prepends to the list; a dirty head
-				// downgrades.
-				ln.Dirty = false
-				ln.AddSharer(node)
-				e.probe(h, head, block, func(sim.Time) {
-					e.caches[head].Downgrade(block)
-					e.k.After(CacheSupplyTime, func() {
-						e.sendBlock(head, node, func(at sim.Time) {
-							e.fill(node, block, coherence.ReadShared)
-							total := pathToHome + g.DistStages(h, head) + g.DistStages(head, node)
-							trav := e.traversals(total)
-							done(at, coherence.Result{Txn: txn, Traversals: trav, Class: missClass(wasDirty, trav)})
-						})
-					})
-				})
-				return
-			}
-
-			// Write: the head supplies data while the purge walks the
-			// rest of the list; the miss commits when both are done.
-			members := ln.List() // head first; excludes nobody yet
-			ln.ClearSharers()
-			ln.SetDirty(node)
-			var dataAt, purgeAt sim.Time = -1, -1
-			purgeDist := 0
-			finish := func(at sim.Time) {
-				if dataAt < 0 || purgeAt < 0 {
-					return
-				}
-				e.fill(node, block, coherence.WriteExclusive)
-				total := pathToHome + purgeDist + g.DistStages(members[len(members)-1], node)
-				trav := e.traversals(total)
-				done(at, coherence.Result{Txn: txn, Traversals: trav, Class: missClass(wasDirty, trav)})
-			}
-			e.probe(h, head, block, func(sim.Time) {
-				e.caches[head].Invalidate(block)
-				e.k.After(CacheSupplyTime, func() {
-					e.sendBlock(head, node, func(at sim.Time) {
-						dataAt = at
-						finish(at)
-					})
-				})
-				// Purge the remainder of the list serially.
-				e.walkList(block, members, 0, func(at sim.Time) {
-					purgeAt = at
-					finish(at)
-				})
-			})
-			purgeDist = g.DistStages(h, head) + listDistance(g, members)
-		})
-	}
-	if h == node {
-		afterHome(0)
-		return
-	}
-	e.probe(node, h, block, func(sim.Time) { afterHome(g.DistStages(node, h)) })
+func (e *Engine) miss(node int, block uint64, write bool, done coherence.Done) {
+	t := e.newTxn(node, block, done)
+	t.write = write
+	e.toHome(t, stepRequest, stepHomeGrant)
 }
 
-// walkList invalidates members[i+1:] one probe hop at a time, starting
-// from members[i]; done fires when the tail's work is complete.
-func (e *Engine) walkList(block uint64, members []int, i int, doneAt func(at sim.Time)) {
-	if i+1 >= len(members) {
-		doneAt(e.k.Now())
+// toHome carries t's request to the home's bank: at once when the
+// requester is the home, else after a probe (resuming at request).
+func (e *Engine) toHome(t *txn, request, grant coherence.Step) {
+	if t.home == t.node {
+		t.pathToHome = 0
+		e.banks[t.home].AccessEvent(t.Await(grant))
 		return
 	}
-	from, to := members[i], members[i+1]
-	e.probe(from, to, block, func(sim.Time) {
-		e.caches[to].Invalidate(block)
-		e.walkList(block, members, i+1, doneAt)
-	})
+	t.pathToHome = e.ring.Geo.DistStages(t.node, t.home)
+	e.probe(t.node, t.home, t, request)
+}
+
+// Resume runs one step of the transaction.
+func (t *txn) Resume(step coherence.Step, _ int, at sim.Time) {
+	e := t.e
+	g := &e.ring.Geo
+	switch step {
+	case stepWBArrive:
+		e.banks[t.home].AccessEvent(t.Await(stepWBLand))
+	case stepWBLand:
+		e.dir.Line(t.block).RemoveSharer(t.node)
+	case stepRequest:
+		e.banks[t.home].AccessEvent(t.Await(stepHomeGrant))
+	case stepHomeGrant:
+		e.missAtHome(t)
+	case stepHeadRequest:
+		if !t.write {
+			e.caches[t.head].Downgrade(t.block)
+			e.k.AfterEvent(CacheSupplyTime, t.Await(stepHeadFetched))
+			return
+		}
+		e.caches[t.head].Invalidate(t.block)
+		e.k.AfterEvent(CacheSupplyTime, t.Await(stepHeadFetched))
+		// Purge the remainder of the list serially.
+		t.walkIdx = 0
+		e.walk(t)
+	case stepHeadFetched:
+		next := stepData
+		if t.write {
+			next = stepWriteData
+		}
+		e.ring.SendEvent(t.head, t.node, ring.BlockSlot, t.Await(next))
+	case stepData:
+		e.fill(t.node, t.block, fillState(t.write))
+		t.Finish(at, coherence.Result{Txn: t.class, Traversals: t.trav, Class: missClass(t.wasDirty, t.trav)})
+	case stepWriteData:
+		t.dataAt = at
+		t.finishWrite(at)
+	case stepWalk:
+		e.caches[t.members[t.walkIdx+1]].Invalidate(t.block)
+		t.walkIdx++
+		e.walk(t)
+	case stepUpgradeRequest:
+		e.banks[t.home].AccessEvent(t.Await(stepUpgradeGrant))
+	case stepUpgradeGrant:
+		h, node := t.home, t.node
+		ln := e.dir.Line(t.block)
+		// The purge chain: the home, then the other members in list
+		// order.
+		t.members = append(t.members[:0], h)
+		t.members = ln.AppendList(t.members)
+		others := t.members[:1]
+		for _, m := range t.members[1:] {
+			if m != node {
+				others = append(others, m)
+			}
+		}
+		t.members = others
+		ln.ClearSharers()
+		ln.SetDirty(node)
+		if len(t.members) == 1 {
+			if h == node {
+				t.finishUpgrade(e.k.Now(), 0)
+				return
+			}
+			t.trav = e.traversals(t.pathToHome + g.DistStages(h, node))
+			e.probe(h, node, t, stepUpgradeAck)
+			return
+		}
+		// Serial purge: home → first member → ... → tail → ack to the
+		// requester.
+		t.purgeDist = t.pathToHome + listDistance(g, t.members)
+		t.walkIdx = 0
+		e.walk(t)
+	case stepUpgradeAck:
+		t.finishUpgrade(at, t.trav)
+	}
+}
+
+// missAtHome runs the home's list actions for a miss, at the point its
+// bank grants the access.
+func (e *Engine) missAtHome(t *txn) {
+	g := &e.ring.Geo
+	h, node, block, write := t.home, t.node, t.block, t.write
+	ln := e.dir.Line(block)
+	head := ln.Head
+	t.wasDirty = ln.Dirty
+
+	if head < 0 || head == node {
+		// Uncached (or our own stale entry): home supplies.
+		t.class = coherence.ReadMissClean
+		if write {
+			t.class = coherence.WriteMissClean
+			ln.ClearSharers()
+			ln.SetDirty(node)
+		} else {
+			ln.RemoveSharer(node)
+			ln.AddSharer(node)
+		}
+		if h == node {
+			e.fill(node, block, fillState(write))
+			t.Finish(e.k.Now(), coherence.Result{Txn: t.class, Local: true})
+			return
+		}
+		t.trav = e.traversals(t.pathToHome + g.DistStages(h, node))
+		e.ring.SendEvent(h, node, ring.BlockSlot, t.Await(stepData))
+		return
+	}
+
+	// Cached: the head services the request.
+	t.head = head
+	t.class = coherence.ReadMissClean
+	if t.wasDirty {
+		t.class = coherence.ReadMissDirty
+	}
+	if write {
+		t.class = coherence.WriteMissClean
+		if t.wasDirty {
+			t.class = coherence.WriteMissDirty
+		}
+	}
+	if !write {
+		// Read: requester prepends to the list; a dirty head
+		// downgrades.
+		ln.Dirty = false
+		ln.AddSharer(node)
+		t.trav = e.traversals(t.pathToHome + g.DistStages(h, head) + g.DistStages(head, node))
+		e.probe(h, head, t, stepHeadRequest)
+		return
+	}
+
+	// Write: the head supplies data while the purge walks the rest of
+	// the list; the miss commits when both are done.
+	t.members = ln.AppendList(t.members[:0]) // head first; excludes nobody yet
+	ln.ClearSharers()
+	ln.SetDirty(node)
+	t.dataAt, t.purgeAt = -1, -1
+	t.purgeDist = 0
+	e.probe(h, head, t, stepHeadRequest)
+	t.purgeDist = g.DistStages(h, head) + listDistance(g, t.members)
+}
+
+// walk sends the purge probe from members[walkIdx] to the next member,
+// or — past the tail — completes the purge: a write miss joins it with
+// the data arrival, an upgrade acknowledges the requester.
+func (e *Engine) walk(t *txn) {
+	if t.walkIdx+1 < len(t.members) {
+		e.probe(t.members[t.walkIdx], t.members[t.walkIdx+1], t, stepWalk)
+		return
+	}
+	if !t.upgrade {
+		t.purgeAt = e.k.Now()
+		t.finishWrite(t.purgeAt)
+		return
+	}
+	tail := t.members[len(t.members)-1]
+	if tail == t.node {
+		t.finishUpgrade(e.k.Now(), e.traversals(t.purgeDist))
+		return
+	}
+	t.trav = e.traversals(t.purgeDist + e.ring.Geo.DistStages(tail, t.node))
+	e.probe(tail, t.node, t, stepUpgradeAck)
+}
+
+// finishWrite commits a head-supplied write miss once both the data and
+// the purge have completed.
+func (t *txn) finishWrite(at sim.Time) {
+	if t.dataAt < 0 || t.purgeAt < 0 {
+		return
+	}
+	e := t.e
+	e.fill(t.node, t.block, coherence.WriteExclusive)
+	total := t.pathToHome + t.purgeDist + e.ring.Geo.DistStages(t.members[len(t.members)-1], t.node)
+	trav := e.traversals(total)
+	t.Finish(at, coherence.Result{Txn: t.class, Traversals: trav, Class: missClass(t.wasDirty, trav)})
 }
 
 // listDistance sums the downstream distances along consecutive list
@@ -319,64 +444,19 @@ func missClass(wasDirty bool, trav int) coherence.MissClass {
 
 // upgrade services an invalidation: the requester holds RS and must
 // purge every other list member.
-func (e *Engine) upgrade(node int, block uint64, done func(sim.Time, coherence.Result)) {
-	h := e.home.Home(block)
-	g := &e.ring.Geo
-	afterHome := func(pathToHome int) {
-		e.banks[h].Access(func() {
-			ln := e.dir.Line(block)
-			// Other members, in list order.
-			var others []int
-			for _, m := range ln.List() {
-				if m != node {
-					others = append(others, m)
-				}
-			}
-			ln.ClearSharers()
-			ln.SetDirty(node)
-			finish := func(at sim.Time, trav int) {
-				if !e.caches[node].Upgrade(block) {
-					e.fill(node, block, coherence.WriteExclusive)
-				}
-				done(at, coherence.Result{Txn: coherence.Invalidation, Traversals: trav, Local: trav == 0})
-			}
-			if len(others) == 0 {
-				if h == node {
-					finish(e.k.Now(), 0)
-					return
-				}
-				e.probe(h, node, block, func(at sim.Time) {
-					finish(at, e.traversals(pathToHome+g.DistStages(h, node)))
-				})
-				return
-			}
-			// Serial purge: home → first member → ... → tail → ack to
-			// the requester.
-			chain := append([]int{h}, others...)
-			dist := pathToHome + listDistance(g, chain)
-			tail := others[len(others)-1]
-			e.walkChainFromHome(block, chain, func(sim.Time) {
-				if tail == node {
-					finish(e.k.Now(), e.traversals(dist))
-					return
-				}
-				e.probe(tail, node, block, func(at sim.Time) {
-					finish(at, e.traversals(dist+g.DistStages(tail, node)))
-				})
-			})
-		})
-	}
-	if h == node {
-		afterHome(0)
-		return
-	}
-	e.probe(node, h, block, func(sim.Time) { afterHome(g.DistStages(node, h)) })
+func (e *Engine) upgrade(node int, block uint64, done coherence.Done) {
+	t := e.newTxn(node, block, done)
+	t.upgrade = true
+	e.toHome(t, stepUpgradeRequest, stepUpgradeGrant)
 }
 
-// walkChainFromHome sends the purge probe down chain (chain[0] is the
-// home, which needs no invalidation).
-func (e *Engine) walkChainFromHome(block uint64, chain []int, doneAt func(at sim.Time)) {
-	e.walkList(block, chain, 0, doneAt)
+// finishUpgrade grants the write permission trav traversals after the
+// request.
+func (t *txn) finishUpgrade(at sim.Time, trav int) {
+	if !t.e.caches[t.node].Upgrade(t.block) {
+		t.e.fill(t.node, t.block, coherence.WriteExclusive)
+	}
+	t.Finish(at, coherence.Result{Txn: coherence.Invalidation, Traversals: trav, Local: trav == 0})
 }
 
 // homeMapFor returns the configured home map, or builds the default

@@ -77,7 +77,7 @@ func TestNewReaderBecomesHead(t *testing.T) {
 	if ln.Head != 5 {
 		t.Fatalf("head = %d, want most recent reader 5", ln.Head)
 	}
-	lst := ln.List()
+	lst := ln.AppendList(nil)
 	if len(lst) != 2 || lst[0] != 5 || lst[1] != 3 {
 		t.Fatalf("list = %v, want [5 3]", lst)
 	}
@@ -253,7 +253,7 @@ func TestConsistencyUnderRandomTraffic(t *testing.T) {
 			if writers > 1 {
 				t.Fatalf("block %#x has %d writers", b, writers)
 			}
-			if len(ln.List()) != ln.NumSharers() {
+			if len(ln.AppendList(nil)) != ln.NumSharers() {
 				t.Fatalf("block %#x: list/presence mismatch", b)
 			}
 		}

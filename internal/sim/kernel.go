@@ -89,6 +89,11 @@ const (
 	wheelMask   = wheelLen - 1
 	// wheelWords sizes the occupancy bitmap: one bit per bucket.
 	wheelWords = wheelLen / 64
+	// bucketCap pre-sizes every bucket heap. The buckets are carved
+	// from one backing array, so the wheel's first revolution does not
+	// grow wheelLen heaps from empty one append at a time; a bucket
+	// that outgrows its share reallocates on its own.
+	bucketCap = 4
 )
 
 // eventRec is one slab-resident calendar entry. Exactly one of fn / h
@@ -231,6 +236,10 @@ func (k *Kernel) bucketPop(b *[]uint32) uint32 {
 func (k *Kernel) insert(idx uint32) {
 	if k.buckets == nil {
 		k.buckets = make([][]uint32, wheelLen)
+		backing := make([]uint32, wheelLen*bucketCap)
+		for i := range k.buckets {
+			k.buckets[i] = backing[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
+		}
 		k.baseTick = int64(k.now >> bucketShift)
 		k.baseIdx = int(k.baseTick) & wheelMask
 	}

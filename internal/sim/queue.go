@@ -6,11 +6,15 @@ package sim
 // the oldest waiter. It is used by the memory banks (single-server) and
 // by the bus arbiter's per-node request queues.
 type Resource struct {
-	k        *Kernel
-	name     string
-	servers  int
-	busy     int
+	k       *Kernel
+	name    string
+	servers int
+	busy    int
+	// waiters[head:] is the FIFO of queued requests. Grants advance
+	// head instead of reslicing, so the backing array is reused rather
+	// than regrown once the queue drains.
 	waiters  []waiter
+	head     int
 	busyArea Time // integral of busy servers over time, for utilization
 	lastMark Time
 	resetAt  Time // start of the current statistics window
@@ -55,7 +59,7 @@ func (r *Resource) Acquire(fn func()) {
 		fn()
 		return
 	}
-	r.waiters = append(r.waiters, waiter{since: r.k.Now(), fn: fn})
+	r.enqueue(waiter{since: r.k.Now(), fn: fn})
 }
 
 // AcquireEvent is Acquire for pooled Granted objects — the
@@ -68,7 +72,19 @@ func (r *Resource) AcquireEvent(h Granted) {
 		h.OnGrant()
 		return
 	}
-	r.waiters = append(r.waiters, waiter{since: r.k.Now(), h: h})
+	r.enqueue(waiter{since: r.k.Now(), h: h})
+}
+
+// enqueue appends a waiter, first sliding the live queue to the front
+// of its backing array when the array is full and has a consumed head.
+func (r *Resource) enqueue(w waiter) {
+	if r.head > 0 && len(r.waiters) == cap(r.waiters) {
+		n := copy(r.waiters, r.waiters[r.head:])
+		clear(r.waiters[n:])
+		r.waiters = r.waiters[:n]
+		r.head = 0
+	}
+	r.waiters = append(r.waiters, w)
 }
 
 // Release frees one service slot. If anyone is waiting, the slot passes
@@ -77,10 +93,13 @@ func (r *Resource) Release() {
 	if r.busy == 0 {
 		panic("sim: release of idle resource " + r.name)
 	}
-	if len(r.waiters) > 0 {
-		w := r.waiters[0]
-		r.waiters[0] = waiter{}
-		r.waiters = r.waiters[1:]
+	if r.head < len(r.waiters) {
+		w := r.waiters[r.head]
+		r.waiters[r.head] = waiter{}
+		r.head++
+		if r.head == len(r.waiters) {
+			r.waiters, r.head = r.waiters[:0], 0
+		}
 		r.grants++
 		r.waitSum += r.k.Now() - w.since
 		if w.fn != nil {
@@ -101,6 +120,7 @@ type useOp struct {
 	r    *Resource
 	d    Duration
 	done func()
+	h    EventHandler
 	next *useOp
 }
 
@@ -113,18 +133,27 @@ func (u *useOp) OnGrant() {
 // run the completion callback. The record returns to the pool first, so
 // the callback may start another Use without growing it.
 func (u *useOp) OnEvent(at Time) {
-	r, done := u.r, u.done
-	u.r, u.done = nil, nil
+	r, done, h := u.r, u.done, u.h
+	u.r, u.done, u.h = nil, nil, nil
 	u.next = r.useFree
 	r.useFree = u
 	r.Release()
-	if done != nil {
+	switch {
+	case done != nil:
 		done()
+	case h != nil:
+		h.OnEvent(at)
 	}
 }
 
 // Use acquires a slot, holds it for d, then releases it and runs done.
-func (r *Resource) Use(d Duration, done func()) {
+func (r *Resource) Use(d Duration, done func()) { r.use(d, done, nil) }
+
+// UseEvent is Use completing into a pooled handler: h.OnEvent fires
+// exactly when Use's done would — the zero-allocation path.
+func (r *Resource) UseEvent(d Duration, h EventHandler) { r.use(d, nil, h) }
+
+func (r *Resource) use(d Duration, done func(), h EventHandler) {
 	u := r.useFree
 	if u == nil {
 		u = &useOp{}
@@ -132,12 +161,12 @@ func (r *Resource) Use(d Duration, done func()) {
 		r.useFree = u.next
 		u.next = nil
 	}
-	u.r, u.d, u.done = r, d, done
+	u.r, u.d, u.done, u.h = r, d, done, h
 	r.AcquireEvent(u)
 }
 
 // QueueLen reports the number of requests waiting for a slot.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return len(r.waiters) - r.head }
 
 // Busy reports the number of slots currently in service.
 func (r *Resource) Busy() int { return r.busy }

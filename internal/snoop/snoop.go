@@ -67,8 +67,9 @@ type Engine struct {
 	caches []*cache.Cache
 	banks  []*memory.Bank
 	home   *memory.HomeMap
-	meta   map[uint64]*blockMeta
+	meta   *coherence.Table[blockMeta]
 	tr     *obs.Tracer
+	pool   coherence.Pool
 
 	// WriteBacks counts the block messages sent home on dirty
 	// evictions (off the critical path).
@@ -91,7 +92,7 @@ func New(r *ring.Ring, opts Options) *Engine {
 		caches: make([]*cache.Cache, n),
 		banks:  make([]*memory.Bank, n),
 		home:   homeMapFor(n, opts),
-		meta:   make(map[uint64]*blockMeta),
+		meta:   coherence.NewTable(blockMeta{owner: -1}),
 		tr:     opts.Tracer,
 	}
 	e.wbByNode = make([]uint64, n)
@@ -111,18 +112,9 @@ func (e *Engine) Cache(node int) *cache.Cache { return e.caches[node] }
 // HomeMap returns the page-to-home placement.
 func (e *Engine) HomeMap() *memory.HomeMap { return e.home }
 
-func (e *Engine) metaFor(block uint64) *blockMeta {
-	m := e.meta[block]
-	if m == nil {
-		m = &blockMeta{owner: -1}
-		e.meta[block] = m
-	}
-	return m
-}
-
 // Access performs one data reference for node. done fires at completion
 // time with the classification; hits complete synchronously.
-func (e *Engine) Access(node int, addr uint64, write bool, done func(at sim.Time, res coherence.Result)) {
+func (e *Engine) Access(node int, addr uint64, write bool, done coherence.Done) {
 	c := e.caches[node]
 	block := c.BlockAddr(addr)
 	switch c.Lookup(addr, write) {
@@ -144,13 +136,59 @@ func (e *Engine) fill(node int, block uint64, st coherence.State) {
 	}
 }
 
+// Transaction steps: where a txn waits, and what it does on resuming.
+const (
+	stepLocalRead  coherence.Step = iota // home bank read of a purely local read miss
+	stepProbe                            // miss probe passing a snooper, then back at the requester
+	stepSupply                           // responder's bank or cache fetch done: ship the block
+	stepData                             // block arrived at the requester
+	stepInvalidate                       // upgrade probe passing a snooper, then back
+	stepWriteBack                        // write-back block arrived at the home
+)
+
+// txn is one pooled coherence transaction: a miss, an upgrade or a
+// write-back.
+type txn struct {
+	coherence.Record
+	e            *Engine
+	node         int
+	home         int
+	responder    int
+	block        uint64
+	mi           int32 // the block's meta row
+	write        bool
+	dirtyRemote  bool
+	supplied     bool
+	finished     bool
+	class        coherence.Txn
+	sp           obs.Span
+	probeReturn  sim.Time
+	blockArrived sim.Time
+}
+
+// newTxn opens a transaction for node on block; done is nil for
+// write-backs.
+func (e *Engine) newTxn(node int, block uint64, done coherence.Done) *txn {
+	t, _ := e.pool.Get().(*txn)
+	if t == nil {
+		t = &txn{e: e}
+		t.Bind(t, &e.pool)
+	}
+	t.Open(done)
+	t.node, t.block = node, block
+	t.supplied, t.finished = false, false
+	t.sp = obs.Span{}
+	t.blockArrived = -1
+	return t
+}
+
 // writeBack returns a dirty block to its home memory, off the critical
 // path. The home clears the dirty bit when the block message arrives.
 func (e *Engine) writeBack(node int, block uint64) {
 	e.WriteBacks++
 	e.wbByNode[node]++
 	sp := e.tr.Begin(node, e.k.Now())
-	m := e.metaFor(block)
+	m := e.meta.Row(block)
 	h := e.home.Home(block)
 	if h == node {
 		// Local write-back: just the bank write.
@@ -159,23 +197,23 @@ func (e *Engine) writeBack(node int, block uint64) {
 		sp.End(e.k.Now(), coherence.WriteBack)
 		return
 	}
-	grab, removal := e.ring.Send(node, h, ring.BlockSlot, nil, func(sim.Time) {
-		mm := e.metaFor(block)
-		if mm.dirty && mm.owner == node {
-			mm.dirty = false
-		}
-		e.banks[h].Access(nil)
-	})
+	t := e.newTxn(node, block, nil)
+	t.home = h
+	grab, removal := e.ring.SendEvent(node, h, ring.BlockSlot, t.Await(stepWriteBack))
 	sp.Mark(obs.PhaseData, grab)
 	sp.End(removal, coherence.WriteBack)
+	t.Close()
 }
 
 // miss services a read or write miss.
-func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, coherence.Result)) {
-	m := e.metaFor(block)
+func (e *Engine) miss(node int, block uint64, write bool, done coherence.Done) {
+	mi := e.meta.Index(block)
+	m := e.meta.At(mi)
 	h := e.home.Home(block)
 	start := e.k.Now()
-	sp := e.tr.Begin(node, start)
+	t := e.newTxn(node, block, done)
+	t.mi = mi
+	t.sp = e.tr.Begin(node, start)
 
 	// Clean block homed here (or our own stale ownership racing with a
 	// write-back): served from the local bank. A write to a block that
@@ -183,120 +221,141 @@ func (e *Engine) miss(node int, block uint64, write bool, done func(sim.Time, co
 	// only reads take the pure-local path.
 	dirtyRemote := m.dirty && m.owner != node
 	if h == node && !dirtyRemote && !write {
-		e.banks[h].Access(func() {
-			e.fill(node, block, coherence.ReadShared)
-			sp.Mark(obs.PhaseData, e.k.Now())
-			sp.End(e.k.Now(), coherence.ReadMissClean)
-			done(e.k.Now(), coherence.Result{Txn: coherence.ReadMissClean, Local: true})
-		})
+		e.banks[h].AccessEvent(t.Await(stepLocalRead))
 		return
 	}
 
-	txn := coherence.ReadMissClean
+	t.class = coherence.ReadMissClean
 	if write {
-		txn = coherence.WriteMissClean
+		t.class = coherence.WriteMissClean
 		if dirtyRemote {
-			txn = coherence.WriteMissDirty
+			t.class = coherence.WriteMissDirty
 		}
 	} else if dirtyRemote {
-		txn = coherence.ReadMissDirty
+		t.class = coherence.ReadMissDirty
 	}
+	t.write, t.dirtyRemote = write, dirtyRemote
 
 	// Responder chosen at insertion: the dirty owner, else the home.
-	responder := h
+	t.responder = h
 	if dirtyRemote {
-		responder = m.owner
+		t.responder = m.owner
 	}
 
-	// Broadcast the probe. Every interface snoops it as it passes:
-	// a write probe invalidates all copies, a read probe downgrades
-	// the dirty owner.
-	var probeReturn sim.Time
-	blockArrived := sim.Time(-1)
-	finished := false
-	finish := func() {
-		if finished {
-			return
-		}
-		// A write completes when every copy is invalidated (probe back
-		// around) and the data has arrived; a read when data arrives.
-		if blockArrived < 0 {
-			return
-		}
-		if write && e.k.Now() < probeReturn {
-			return
-		}
-		finished = true
-		st := coherence.ReadShared
-		if write {
-			st = coherence.WriteExclusive
-		}
-		e.fill(node, block, st)
-		mm := e.metaFor(block)
-		if write {
-			mm.dirty = true
-			mm.owner = node
-		} else if dirtyRemote {
-			// The owner downgraded and the home copy is refreshed.
-			mm.dirty = false
-		}
-		sp.End(e.k.Now(), txn)
-		done(e.k.Now(), coherence.Result{Txn: txn, Traversals: 1})
-	}
-
+	// Broadcast the probe. Every interface snoops it as it passes (see
+	// the stepProbe visit); the requester removes it after one
+	// traversal.
 	class := e.ring.Geo.ProbeClassFor(block)
-	supplied := false
-	grab, ret := e.ring.Send(node, ring.Broadcast, class,
-		func(visited int, at sim.Time) {
-			// Snooper actions at probe pass time.
-			if write {
-				e.caches[visited].Invalidate(block)
-			} else if visited == responder && dirtyRemote {
-				e.caches[visited].Downgrade(block)
-			}
-			if visited == responder && !supplied {
-				supplied = true
-				e.respond(responder, node, dirtyRemote, func() {
-					blockArrived = e.k.Now()
-					sp.Mark(obs.PhaseData, blockArrived)
-					finish()
-				})
-			}
-		},
-		func(at sim.Time) {
-			// Probe removed by the requester after one traversal.
-			sp.Mark(obs.PhaseAck, at)
-			finish()
-		})
-	probeReturn = ret
-	sp.Mark(obs.PhaseProbeGrab, grab)
+	grab, ret := e.ring.SendEvent(node, ring.Broadcast, class, t.Await(stepProbe))
+	t.probeReturn = ret
+	t.sp.Mark(obs.PhaseProbeGrab, grab)
 
 	// A write miss on a clean block homed at the requester: the probe
 	// still sweeps the ring to invalidate sharers, but the data comes
 	// from the local bank, in parallel.
-	if responder == node {
-		supplied = true
-		e.banks[node].Access(func() {
-			blockArrived = e.k.Now()
-			sp.Mark(obs.PhaseData, blockArrived)
-			finish()
-		})
+	if t.responder == node {
+		t.supplied = true
+		e.banks[node].AccessEvent(t.Await(stepData))
 	}
 }
 
-// respond fetches the block at the responder (memory bank when it is
-// the clean home, cache when it is the dirty owner) and ships it to the
-// requester in a block slot.
-func (e *Engine) respond(responder, requester int, fromCache bool, delivered func()) {
-	send := func() {
-		e.ring.Send(responder, requester, ring.BlockSlot, nil, func(sim.Time) {
-			delivered()
-		})
+// Resume runs one step of the transaction.
+func (t *txn) Resume(step coherence.Step, visited int, at sim.Time) {
+	e := t.e
+	switch step {
+	case stepLocalRead:
+		now := e.k.Now()
+		e.fill(t.node, t.block, coherence.ReadShared)
+		t.sp.Mark(obs.PhaseData, now)
+		t.sp.End(now, coherence.ReadMissClean)
+		t.Finish(now, coherence.Result{Txn: coherence.ReadMissClean, Local: true})
+	case stepProbe:
+		if visited < 0 {
+			// Probe removed by the requester after one traversal.
+			t.sp.Mark(obs.PhaseAck, at)
+			t.finish()
+			return
+		}
+		// Snooper actions at probe pass time: a write probe invalidates
+		// all copies, a read probe downgrades the dirty owner.
+		if t.write {
+			e.caches[visited].Invalidate(t.block)
+		} else if visited == t.responder && t.dirtyRemote {
+			e.caches[visited].Downgrade(t.block)
+		}
+		if visited == t.responder && !t.supplied {
+			t.supplied = true
+			e.respond(t)
+		}
+	case stepSupply:
+		e.ring.SendEvent(t.responder, t.node, ring.BlockSlot, t.Await(stepData))
+	case stepData:
+		t.blockArrived = e.k.Now()
+		t.sp.Mark(obs.PhaseData, t.blockArrived)
+		t.finish()
+	case stepInvalidate:
+		if visited >= 0 {
+			e.caches[visited].Invalidate(t.block)
+			return
+		}
+		// Our copy may have been invalidated by a racing write; the
+		// transaction then degenerates into a write miss fill.
+		if !e.caches[t.node].Upgrade(t.block) {
+			e.fill(t.node, t.block, coherence.WriteExclusive)
+		}
+		m := e.meta.Row(t.block)
+		m.dirty = true
+		m.owner = t.node
+		t.sp.Mark(obs.PhaseAck, at)
+		t.sp.End(at, coherence.Invalidation)
+		t.Finish(at, coherence.Result{Txn: coherence.Invalidation, Traversals: 1})
+	case stepWriteBack:
+		m := e.meta.Row(t.block)
+		if m.dirty && m.owner == t.node {
+			m.dirty = false
+		}
+		e.banks[t.home].Access(nil)
 	}
-	if fromCache {
-		e.k.After(CacheSupplyTime, send)
+}
+
+// finish completes a miss once its conditions hold: a write when every
+// copy is invalidated (probe back around) and the data has arrived; a
+// read when the data arrives.
+func (t *txn) finish() {
+	e := t.e
+	if t.finished || t.blockArrived < 0 {
+		return
+	}
+	now := e.k.Now()
+	if t.write && now < t.probeReturn {
+		return
+	}
+	t.finished = true
+	st := coherence.ReadShared
+	if t.write {
+		st = coherence.WriteExclusive
+	}
+	e.fill(t.node, t.block, st)
+	m := e.meta.At(t.mi)
+	if t.write {
+		m.dirty = true
+		m.owner = t.node
+	} else if t.dirtyRemote {
+		// The owner downgraded and the home copy is refreshed.
+		m.dirty = false
+	}
+	t.sp.End(now, t.class)
+	t.Finish(now, coherence.Result{Txn: t.class, Traversals: 1})
+}
+
+// respond fetches the block at the responder (memory bank when it is
+// the clean home, cache when it is the dirty owner); stepSupply then
+// ships it to the requester in a block slot.
+func (e *Engine) respond(t *txn) {
+	if t.dirtyRemote {
+		e.k.AfterEvent(CacheSupplyTime, t.Await(stepSupply))
 	} else {
-		e.banks[responder].Access(send)
+		e.banks[t.responder].AccessEvent(t.Await(stepSupply))
 	}
 }
 
@@ -304,27 +363,12 @@ func (e *Engine) respond(responder, requester int, fromCache bool, delivered fun
 // copy and broadcasts a probe; every other copy is invalidated as the
 // probe sweeps, and the write permission is granted when the probe
 // returns — exactly one traversal.
-func (e *Engine) upgrade(node int, block uint64, done func(sim.Time, coherence.Result)) {
+func (e *Engine) upgrade(node int, block uint64, done coherence.Done) {
 	class := e.ring.Geo.ProbeClassFor(block)
-	sp := e.tr.Begin(node, e.k.Now())
-	grab, _ := e.ring.Send(node, ring.Broadcast, class,
-		func(visited int, at sim.Time) {
-			e.caches[visited].Invalidate(block)
-		},
-		func(at sim.Time) {
-			// Our copy may have been invalidated by a racing write; the
-			// transaction then degenerates into a write miss fill.
-			if !e.caches[node].Upgrade(block) {
-				e.fill(node, block, coherence.WriteExclusive)
-			}
-			m := e.metaFor(block)
-			m.dirty = true
-			m.owner = node
-			sp.Mark(obs.PhaseAck, at)
-			sp.End(at, coherence.Invalidation)
-			done(at, coherence.Result{Txn: coherence.Invalidation, Traversals: 1})
-		})
-	sp.Mark(obs.PhaseProbeGrab, grab)
+	t := e.newTxn(node, block, done)
+	t.sp = e.tr.Begin(node, e.k.Now())
+	grab, _ := e.ring.SendEvent(node, ring.Broadcast, class, t.Await(stepInvalidate))
+	t.sp.Mark(obs.PhaseProbeGrab, grab)
 }
 
 // homeMapFor returns the configured home map, or builds the default
