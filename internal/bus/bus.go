@@ -12,6 +12,7 @@
 package bus
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/sim"
@@ -104,14 +105,28 @@ type Geometry struct {
 	WriteBackCycles int
 }
 
+// Validate reports a configuration error, after zero fields take their
+// defaults. NewGeometry panics on the same errors; callers that take a
+// configuration from outside the program check it here first.
+func (c Config) Validate() error {
+	c.fill()
+	switch {
+	case c.Nodes <= 0:
+		return errors.New("bus: need at least one node")
+	case c.ClockPS < 0:
+		return errors.New("bus: negative clock period")
+	case c.WidthBits <= 0 || c.BlockBytes <= 0 || c.BlockBytes*8%c.WidthBits != 0:
+		return errors.New("bus: block size must be a whole number of bus words")
+	}
+	return nil
+}
+
 // NewGeometry computes tenure costs, applying defaults to zero fields.
+// It panics on an invalid configuration (see Validate).
 func NewGeometry(cfg Config) Geometry {
 	cfg.fill()
-	if cfg.Nodes <= 0 {
-		panic("bus: need at least one node")
-	}
-	if cfg.WidthBits <= 0 || cfg.BlockBytes*8%cfg.WidthBits != 0 {
-		panic("bus: block size must be a whole number of bus words")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	data := cfg.BlockBytes * 8 / cfg.WidthBits
 	return Geometry{

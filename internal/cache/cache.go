@@ -11,6 +11,7 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/coherence"
@@ -36,33 +37,43 @@ func (c *Config) fill() {
 	}
 }
 
-// validate panics on geometry errors; configuration is programmer input.
-func (c Config) validate() {
-	if c.SizeBytes <= 0 || c.BlockBytes <= 0 {
-		panic("cache: non-positive geometry")
+// minBlockBytes is the smallest supported block: a frame packs its
+// state into the two low bits of the block address, which block
+// alignment leaves zero only for blocks of at least 4 bytes.
+const minBlockBytes = 4
+
+// Validate reports a geometry error, after zero fields take the paper's
+// defaults. New panics on the same errors; callers that take a geometry
+// from outside the program check it here first.
+func (c Config) Validate() error {
+	c.fill()
+	switch {
+	case c.SizeBytes <= 0 || c.BlockBytes <= 0:
+		return errors.New("cache: non-positive geometry")
+	case c.BlockBytes&(c.BlockBytes-1) != 0:
+		return errors.New("cache: block size must be a power of two")
+	case c.BlockBytes < minBlockBytes:
+		return fmt.Errorf("cache: block size must be at least %d bytes", minBlockBytes)
+	case c.SizeBytes%c.BlockBytes != 0:
+		return errors.New("cache: size not a multiple of block size")
 	}
-	if c.SizeBytes%c.BlockBytes != 0 {
-		panic("cache: size not a multiple of block size")
+	if sets := c.SizeBytes / c.BlockBytes; sets&(sets-1) != 0 {
+		return errors.New("cache: set count must be a power of two")
 	}
-	if c.BlockBytes&(c.BlockBytes-1) != 0 {
-		panic("cache: block size must be a power of two")
-	}
-	sets := c.SizeBytes / c.BlockBytes
-	if sets&(sets-1) != 0 {
-		panic("cache: set count must be a power of two")
-	}
+	return nil
 }
 
-// line is one direct-mapped frame.
-type line struct {
-	tag   uint64
-	state coherence.State
-}
+// A frame is one direct-mapped set packed into a word: the resident
+// block address with its coherence state in the two low bits (stateMask).
+// Block alignment leaves those bits zero, so Lookup and every snoop
+// read a set with a single load. An invalidated frame keeps its address
+// bits; only the state bits say it is empty.
+const stateMask = 3
 
 // Cache is a direct-mapped write-back cache.
 type Cache struct {
 	cfg        Config
-	lines      []line
+	frames     []uint64
 	blockShift uint
 	setMask    uint64
 
@@ -73,14 +84,16 @@ type Cache struct {
 }
 
 // New returns a cache with the given geometry (zero fields take the
-// paper's defaults).
+// paper's defaults). It panics on an invalid geometry (see Validate).
 func New(cfg Config) *Cache {
 	cfg.fill()
-	cfg.validate()
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	sets := cfg.SizeBytes / cfg.BlockBytes
 	c := &Cache{
 		cfg:     cfg,
-		lines:   make([]line, sets),
+		frames:  make([]uint64, sets),
 		setMask: uint64(sets - 1),
 	}
 	for bs := cfg.BlockBytes; bs > 1; bs >>= 1 {
@@ -99,6 +112,20 @@ func (c *Cache) BlockAddr(addr uint64) uint64 {
 
 func (c *Cache) index(block uint64) int {
 	return int((block >> c.blockShift) & c.setMask)
+}
+
+// frame returns the frame of block's set.
+func (c *Cache) frame(block uint64) *uint64 {
+	return &c.frames[c.index(block)]
+}
+
+// resident returns block's state if frame f holds it, else Invalid:
+// f^block is the state alone exactly when the address bits match.
+func resident(f, block uint64) coherence.State {
+	if d := f ^ block; d <= stateMask {
+		return coherence.State(d)
+	}
+	return coherence.Invalid
 }
 
 // Outcome describes what a processor access needs from the coherence
@@ -150,14 +177,17 @@ type Victim struct {
 func (c *Cache) Lookup(addr uint64, write bool) Outcome {
 	c.Accesses++
 	block := c.BlockAddr(addr)
-	ln := &c.lines[c.index(block)]
-	if ln.state == coherence.Invalid || ln.tag != block {
+	// resident, spelled out so that Lookup stays within the compiler's
+	// inlining budget: the frame's state if its address bits match
+	// block; anything above stateMask means another block holds the set.
+	st := c.frames[c.index(block)] ^ block
+	if st == uint64(coherence.Invalid) || st > stateMask {
 		if write {
 			return MissWrite
 		}
 		return MissRead
 	}
-	if write && ln.state == coherence.ReadShared {
+	if write && st == uint64(coherence.ReadShared) {
 		c.UpgradeRq++
 		return Upgrade
 	}
@@ -168,11 +198,7 @@ func (c *Cache) Lookup(addr uint64, write bool) Outcome {
 // State returns the state of the frame currently holding block, or
 // Invalid if the block is not resident.
 func (c *Cache) State(block uint64) coherence.State {
-	ln := &c.lines[c.index(block)]
-	if ln.tag != block {
-		return coherence.Invalid
-	}
-	return ln.state
+	return resident(*c.frame(block), block)
 }
 
 // Fill installs block in the given state and returns the displaced
@@ -181,46 +207,46 @@ func (c *Cache) Fill(block uint64, st coherence.State) Victim {
 	if st == coherence.Invalid {
 		panic("cache: fill with Invalid state")
 	}
-	ln := &c.lines[c.index(block)]
+	f := c.frame(block)
 	var v Victim
-	if ln.state != coherence.Invalid && ln.tag != block {
-		v = Victim{Block: ln.tag, Dirty: ln.state == coherence.WriteExclusive, Valid: true}
+	old, prev := *f&^stateMask, coherence.State(*f&stateMask)
+	if prev != coherence.Invalid && old != block {
+		v = Victim{Block: old, Dirty: prev == coherence.WriteExclusive, Valid: true}
 	}
-	ln.tag = block
-	ln.state = st
+	*f = block | uint64(st)
 	return v
 }
 
 // Invalidate drops block if resident, returning its previous state.
 func (c *Cache) Invalidate(block uint64) coherence.State {
-	ln := &c.lines[c.index(block)]
-	if ln.tag != block || ln.state == coherence.Invalid {
-		return coherence.Invalid
+	f := c.frame(block)
+	prev := resident(*f, block)
+	if prev != coherence.Invalid {
+		*f = block
 	}
-	prev := ln.state
-	ln.state = coherence.Invalid
 	return prev
 }
 
 // Downgrade moves a WE block to RS (remote read miss hitting the dirty
 // owner). It reports whether the block was resident in WE.
 func (c *Cache) Downgrade(block uint64) bool {
-	ln := &c.lines[c.index(block)]
-	if ln.tag != block || ln.state != coherence.WriteExclusive {
-		return false
-	}
-	ln.state = coherence.ReadShared
-	return true
+	return c.move(block, coherence.WriteExclusive, coherence.ReadShared)
 }
 
 // Upgrade moves an RS block to WE (invalidation acknowledged). It
 // reports whether the block was resident in RS.
 func (c *Cache) Upgrade(block uint64) bool {
-	ln := &c.lines[c.index(block)]
-	if ln.tag != block || ln.state != coherence.ReadShared {
+	return c.move(block, coherence.ReadShared, coherence.WriteExclusive)
+}
+
+// move changes block's state from one valid state to another, reporting
+// whether the block was resident in from.
+func (c *Cache) move(block uint64, from, to coherence.State) bool {
+	f := c.frame(block)
+	if *f != block|uint64(from) {
 		return false
 	}
-	ln.state = coherence.WriteExclusive
+	*f = block | uint64(to)
 	return true
 }
 
@@ -235,8 +261,8 @@ func (c *Cache) HitRate() float64 {
 
 // Occupancy counts resident blocks per state, for diagnostics.
 func (c *Cache) Occupancy() (rs, we int) {
-	for i := range c.lines {
-		switch c.lines[i].state {
+	for _, f := range c.frames {
+		switch coherence.State(f & stateMask) {
 		case coherence.ReadShared:
 			rs++
 		case coherence.WriteExclusive:

@@ -17,8 +17,8 @@ func TestDefaultGeometry(t *testing.T) {
 	if c.Config().SizeBytes != 128<<10 || c.Config().BlockBytes != 16 {
 		t.Fatalf("default geometry = %+v, want 128KB/16B", c.Config())
 	}
-	if len(c.lines) != 8192 {
-		t.Fatalf("sets = %d, want 8192", len(c.lines))
+	if len(c.frames) != 8192 {
+		t.Fatalf("sets = %d, want 8192", len(c.frames))
 	}
 }
 
@@ -28,6 +28,8 @@ func TestBadGeometryPanics(t *testing.T) {
 		{SizeBytes: 64, BlockBytes: 24},  // not power of two
 		{SizeBytes: 100, BlockBytes: 16}, // not multiple
 		{SizeBytes: 48, BlockBytes: 16},  // 3 sets, not power of two
+		{SizeBytes: 64, BlockBytes: 1},   // no room for the state bits
+		{SizeBytes: 64, BlockBytes: 2},   // no room for the state bits
 	}
 	for _, cfg := range cases {
 		func() {
@@ -38,6 +40,14 @@ func TestBadGeometryPanics(t *testing.T) {
 			}()
 			New(cfg)
 		}()
+		if cfg.Validate() == nil {
+			t.Errorf("config %+v validated", cfg)
+		}
+	}
+	for _, cfg := range []Config{{}, {BlockBytes: 4}, {SizeBytes: 64, BlockBytes: 64}} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("config %+v: %v", cfg, err)
+		}
 	}
 }
 
@@ -218,11 +228,12 @@ func TestStateTransitionInvariant(t *testing.T) {
 				c.Downgrade(block)
 			}
 		}
-		for i, ln := range c.lines {
-			if ln.state > coherence.WriteExclusive {
+		for i, f := range c.frames {
+			st := coherence.State(f & stateMask)
+			if st > coherence.WriteExclusive {
 				return false
 			}
-			if ln.state != coherence.Invalid && c.index(ln.tag) != i {
+			if st != coherence.Invalid && c.index(f&^stateMask) != i {
 				return false
 			}
 		}
@@ -230,5 +241,63 @@ func TestStateTransitionInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPackedFrameRoundTrips drives every frame transition at each
+// supported block size, at low addresses and in the generator's highest
+// region, and checks the packed word always decodes back to the block
+// and state that were stored.
+func TestPackedFrameRoundTrips(t *testing.T) {
+	for _, bb := range []int{4, 8, 16, 32, 64, 128} {
+		for _, base := range []uint64{0, 0x4000_0000_0000, 0x4fff_ffff_0000} {
+			c := New(Config{SizeBytes: 16 * bb, BlockBytes: bb})
+			span := uint64(16 * bb) // addresses this far apart share a set
+			a := base + 3*uint64(bb)
+			b := a + span
+			if got := c.BlockAddr(a + uint64(bb) - 1); got != a {
+				t.Fatalf("bb=%d base=%#x: BlockAddr = %#x, want %#x", bb, base, got, a)
+			}
+			if v := c.Fill(a, coherence.ReadShared); v.Valid {
+				t.Fatalf("bb=%d base=%#x: fill into empty frame gave victim %+v", bb, base, v)
+			}
+			if o := c.Lookup(a+1, false); o != Hit {
+				t.Fatalf("bb=%d base=%#x: read after RS fill = %v", bb, base, o)
+			}
+			if o := c.Lookup(b, false); o != MissRead {
+				t.Fatalf("bb=%d base=%#x: conflicting block = %v, want miss-read", bb, base, o)
+			}
+			if !c.Upgrade(a) || c.State(a) != coherence.WriteExclusive {
+				t.Fatalf("bb=%d base=%#x: upgrade failed", bb, base)
+			}
+			if o := c.Lookup(a, true); o != Hit {
+				t.Fatalf("bb=%d base=%#x: write to WE block = %v", bb, base, o)
+			}
+			if !c.Downgrade(a) || c.State(a) != coherence.ReadShared {
+				t.Fatalf("bb=%d base=%#x: downgrade failed", bb, base)
+			}
+			c.Upgrade(a)
+			if v := c.Fill(b, coherence.ReadShared); !v.Valid || !v.Dirty || v.Block != a {
+				t.Fatalf("bb=%d base=%#x: victim = %+v, want dirty %#x", bb, base, v, a)
+			}
+			if c.State(a) != coherence.Invalid || c.State(b) != coherence.ReadShared {
+				t.Fatalf("bb=%d base=%#x: states after conflict fill = %v/%v", bb, base, c.State(a), c.State(b))
+			}
+			if prev := c.Invalidate(a); prev != coherence.Invalid || c.State(b) != coherence.ReadShared {
+				t.Fatalf("bb=%d base=%#x: invalidating an absent block disturbed its set", bb, base)
+			}
+			if prev := c.Invalidate(b); prev != coherence.ReadShared || c.State(b) != coherence.Invalid {
+				t.Fatalf("bb=%d base=%#x: invalidate returned %v", bb, base, prev)
+			}
+			if c.Upgrade(b) || c.Downgrade(b) {
+				t.Fatalf("bb=%d base=%#x: state change on an invalidated frame", bb, base)
+			}
+			if v := c.Fill(a, coherence.WriteExclusive); v.Valid {
+				t.Fatalf("bb=%d base=%#x: fill over an invalidated frame gave victim %+v", bb, base, v)
+			}
+			if rs, we := c.Occupancy(); rs != 0 || we != 1 {
+				t.Fatalf("bb=%d base=%#x: occupancy = %d/%d, want 0/1", bb, base, rs, we)
+			}
+		}
 	}
 }

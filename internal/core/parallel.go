@@ -196,7 +196,7 @@ func Run(cfg Config, src workload.Source) *Metrics {
 		CrossWindows:   st.CrossWindows,
 		BarrierStallNS: st.BarrierStallNS,
 	}
-	return &root.m
+	return root.detached()
 }
 
 // mergeDomain folds domain d's collected (but not finalized) metrics

@@ -142,6 +142,45 @@ type Config struct {
 	Parallel int
 }
 
+// Validate reports why cfg cannot build a machine of cpus processors:
+// the errors on which NewSystem's components would panic. Callers that
+// take a configuration from outside the program, such as a sweep job
+// arriving over the wire, check it here first.
+func (c Config) Validate(cpus int) error {
+	if c.ProcCycle < 0 {
+		return fmt.Errorf("core: negative processor cycle %v", c.ProcCycle)
+	}
+	if err := c.Cache.Validate(); err != nil {
+		return err
+	}
+	if c.PageBytes != 0 {
+		if err := memory.ValidatePageBytes(c.PageBytes); err != nil {
+			return err
+		}
+	}
+	switch c.Protocol {
+	case SnoopRing, DirectoryRing, SCIRing:
+		rc := c.Ring
+		rc.Nodes = cpus
+		return rc.Validate()
+	case SnoopBus:
+		bc := c.Bus
+		bc.Nodes = cpus
+		return bc.Validate()
+	case HierRing:
+		return hier.Options{Clusters: c.clusters(), Ring: c.Ring}.Validate(cpus)
+	}
+	return fmt.Errorf("core: unknown protocol %v", c.Protocol)
+}
+
+// clusters is the hierarchical ring's cluster count, defaulted.
+func (c Config) clusters() int {
+	if c.Clusters == 0 {
+		return 4
+	}
+	return c.Clusters
+}
+
 // Metrics aggregates one run's results.
 type Metrics struct {
 	// ExecTime is when the last processor finished its stream.
@@ -579,12 +618,8 @@ func newSystemOn(k *sim.Kernel, cfg Config, src workload.Source, lo, hi int, seg
 			}
 		}
 	case HierRing:
-		clusters := cfg.Clusters
-		if clusters == 0 {
-			clusters = 4
-		}
 		s.engine = hier.New(k, n, hier.Options{
-			Clusters: clusters,
+			Clusters: cfg.clusters(),
 			Ring:     cfg.Ring,
 			Cache:    cfg.Cache,
 			Home:     home,
@@ -676,13 +711,22 @@ func (s *System) Ring() *ring.Ring { return s.ring }
 func (s *System) Bus() *bus.Bus { return s.bus }
 
 // Run executes every processor's stream to completion and returns the
-// metrics.
+// metrics. The result is a copy that shares nothing with the System, so
+// keeping it does not keep the simulated machine alive.
 func (s *System) Run() *Metrics {
 	s.start()
 	s.k.Run()
 	s.collect()
 	s.finalize()
-	return &s.m
+	return s.detached()
+}
+
+// detached returns a copy of the metrics. Its maps, distributions and
+// tracer are the run's own objects, none of which points back into the
+// System.
+func (s *System) detached() *Metrics {
+	m := s.m
+	return &m
 }
 
 // start schedules every processor's first issue event. The parallel

@@ -66,7 +66,7 @@ type Engine struct {
 	caches []*cache.Cache
 	banks  []*memory.Bank
 	home   *memory.HomeMap
-	dir    *memory.Directory
+	dir    *memory.Directory[memory.Line]
 	tr     *obs.Tracer
 	pool   coherence.Pool
 
@@ -114,8 +114,8 @@ func (e *Engine) Cache(node int) *cache.Cache { return e.caches[node] }
 // HomeMap returns the page-to-home placement.
 func (e *Engine) HomeMap() *memory.HomeMap { return e.home }
 
-// Directory exposes the shared directory store (tests only).
-func (e *Engine) Directory() *memory.Directory { return e.dir }
+// Directory exposes the directory store (tests only).
+func (e *Engine) Directory() *memory.Directory[memory.Line] { return e.dir }
 
 // Access performs one data reference for node; done fires at completion.
 func (e *Engine) Access(node int, addr uint64, write bool, done coherence.Done) {

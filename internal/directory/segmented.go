@@ -89,7 +89,7 @@ type SegEngine struct {
 	caches  []*cache.Cache
 	banks   []*memory.Bank
 	home    *memory.HomeMap
-	dir     *memory.Directory
+	dir     *memory.Directory[memory.Line]
 	pending []segPending
 
 	// WriteBacks counts dirty-eviction block messages; wbByNode feeds

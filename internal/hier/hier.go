@@ -16,6 +16,7 @@
 package hier
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cache"
@@ -44,6 +45,21 @@ type Options struct {
 	Seed uint64
 	// Home, when non-nil, supplies a pre-built placement.
 	Home *memory.HomeMap
+}
+
+// Validate reports why nodes processors cannot form the configured
+// hierarchy: the clusters must split the nodes evenly and the ring
+// configuration must be valid. New panics on the same errors.
+func (o Options) Validate(nodes int) error {
+	if o.Clusters <= 1 {
+		return errors.New("hier: need at least two clusters")
+	}
+	if nodes%o.Clusters != 0 {
+		return fmt.Errorf("hier: %d nodes not divisible into %d clusters", nodes, o.Clusters)
+	}
+	rc := o.Ring
+	rc.Nodes = o.Clusters
+	return rc.Validate()
 }
 
 // hmeta is the home-side state of one block; the IRIs' per-cluster
@@ -84,11 +100,8 @@ type Engine struct {
 // New returns a hierarchical engine for nodes processors in
 // opts.Clusters clusters, attached to k.
 func New(k *sim.Kernel, nodes int, opts Options) *Engine {
-	if opts.Clusters <= 1 {
-		panic("hier: need at least two clusters")
-	}
-	if nodes%opts.Clusters != 0 {
-		panic(fmt.Sprintf("hier: %d nodes not divisible into %d clusters", nodes, opts.Clusters))
+	if err := opts.Validate(nodes); err != nil {
+		panic(err.Error())
 	}
 	if opts.PageBytes == 0 {
 		opts.PageBytes = 4096

@@ -4,11 +4,13 @@
 // random allocation, which is what makes the fraction of remote clean
 // misses grow with system size — Section 4.2). Each home keeps a dirty
 // bit per block plus the directory state used by the directory-based
-// protocols: a full-map presence vector and an SCI-style sharing list
-// head. Bank access time is the paper's fixed 140 ns.
+// protocols: a full-map presence vector, and for the linked-list
+// organization alone an SCI-style sharing list. Bank access time is the
+// paper's fixed 140 ns.
 package memory
 
 import (
+	"errors"
 	"math/bits"
 
 	"repro/internal/sim"
@@ -40,14 +42,24 @@ type HomeMap struct {
 // shared pages stay randomly allocated, as in the paper.
 func (h *HomeMap) SetHint(hint func(addr uint64) (int, bool)) { h.hint = hint }
 
+// ValidatePageBytes reports an error unless pageBytes is a positive
+// power of two, the placement granularity NewHomeMap requires (it
+// panics on the same error).
+func ValidatePageBytes(pageBytes int) error {
+	if pageBytes <= 0 || pageBytes&(pageBytes-1) != 0 {
+		return errors.New("memory: page size must be a positive power of two")
+	}
+	return nil
+}
+
 // NewHomeMap returns a page-granular random home mapping over the given
 // number of nodes. pageBytes must be a power of two.
 func NewHomeMap(nodes, pageBytes int, rng *sim.Rand) *HomeMap {
 	if nodes <= 0 {
 		panic("memory: need at least one node")
 	}
-	if pageBytes <= 0 || pageBytes&(pageBytes-1) != 0 {
-		panic("memory: page size must be a positive power of two")
+	if err := ValidatePageBytes(pageBytes); err != nil {
+		panic(err.Error())
 	}
 	return &HomeMap{nodes: nodes, pageBytes: pageBytes, table: make(map[uint64]int), rng: rng}
 }
@@ -121,56 +133,18 @@ func (h *HomeMap) Place(addr uint64, home int) {
 	h.table[addr/uint64(h.pageBytes)] = home
 }
 
-// Line is the per-block directory record kept at the home node.
+// Line is the full-map directory record kept at the home node: one
+// presence bit per node, a dirty bit, and the dirty owner. It is
+// pointer-free, so directory storage is invisible to the garbage
+// collector.
 type Line struct {
-	// Dirty is set when exactly one cache holds the block WE.
-	Dirty bool
-	// Owner is the dirty node when Dirty is set.
-	Owner int
 	// presence is the full-map bit vector of sharers (including the
 	// owner when dirty). Supports up to 64 nodes, the paper's maximum.
 	presence uint64
-	// Head is the SCI-style sharing-list head node, -1 when uncached.
-	// Maintained in parallel with the full map so that the linked-list
-	// protocol comparison (Table 1) shares one directory store.
-	Head int
-	// next[i] is node i's successor in the sharing list, -1 at the
-	// tail. A fixed array (valid only for present sharers) rather than
-	// a map: it keeps Line pointer-free, so directory storage is
-	// invisible to the garbage collector.
-	next [64]int8
-}
-
-// lineChunkSize is how many Lines a directory allocates at once; lines
-// are handed out of chunks so each block record is not an individual
-// heap object.
-const lineChunkSize = 256
-
-// Directory is the home-node directory for all blocks homed at one node.
-type Directory struct {
-	lines map[uint64]*Line
-	chunk []Line // current allocation chunk (pointers into it are stable)
-}
-
-// NewDirectory returns an empty directory.
-func NewDirectory() *Directory {
-	return &Directory{lines: make(map[uint64]*Line)}
-}
-
-// Line returns the record for block, creating a clean, uncached record
-// on first touch.
-func (d *Directory) Line(block uint64) *Line {
-	ln := d.lines[block]
-	if ln == nil {
-		if len(d.chunk) == 0 {
-			d.chunk = make([]Line, lineChunkSize)
-		}
-		ln = &d.chunk[0]
-		d.chunk = d.chunk[1:]
-		ln.Head = -1
-		d.lines[block] = ln
-	}
-	return ln
+	// Owner is the dirty node when Dirty is set.
+	Owner int
+	// Dirty is set when exactly one cache holds the block WE.
+	Dirty bool
 }
 
 // NumSharers returns the presence-bit population count.
@@ -185,50 +159,30 @@ func (l *Line) HasSharerBesides(a, b int) bool {
 	return l.presence&^(1<<uint(a)|1<<uint(b)) != 0
 }
 
-// AddSharer sets node's presence bit and links it at the head of the
-// SCI sharing list (SCI prepends new sharers, making the home's head
-// pointer point at the most recent requester).
+// AddSharer sets node's presence bit.
 func (l *Line) AddSharer(node int) {
 	if node < 0 || node >= 64 {
 		panic("memory: sharer out of supported range [0,64)")
 	}
-	if l.HasSharer(node) {
-		return
-	}
 	l.presence |= 1 << uint(node)
-	l.next[node] = int8(l.Head)
-	l.Head = node
 }
 
-// RemoveSharer clears node's presence bit and unlinks it from the
-// sharing list.
+// RemoveSharer clears node's presence bit, and the dirty bit if node
+// was the owner.
 func (l *Line) RemoveSharer(node int) {
 	if !l.HasSharer(node) {
 		return
 	}
 	l.presence &^= 1 << uint(node)
-	if l.Head == node {
-		l.Head = int(l.next[node])
-	} else {
-		for cur := l.Head; cur >= 0; cur = int(l.next[cur]) {
-			if int(l.next[cur]) == node {
-				l.next[cur] = l.next[node]
-				break
-			}
-		}
-	}
 	if l.Dirty && l.Owner == node {
 		l.Dirty = false
 	}
 }
 
-// ClearSharers resets the block to uncached-clean. Stale next entries
-// need no clearing: the list is only reachable through Head and the
-// presence bits.
+// ClearSharers resets the block to uncached-clean.
 func (l *Line) ClearSharers() {
 	l.presence = 0
 	l.Dirty = false
-	l.Head = -1
 }
 
 // SetDirty marks node as the exclusive dirty owner: the presence vector
@@ -240,10 +194,72 @@ func (l *Line) SetDirty(node int) {
 	l.Owner = node
 }
 
+// ListLine is the directory record of the SCI linked-list organization
+// (the Table 1 comparison): the full-map record plus the home's head
+// pointer and each sharer's successor in the sharing list. Only that
+// engine keeps the list; the full map alongside it is what the list
+// must always agree with.
+type ListLine struct {
+	Line
+	// Head is the sharing-list head node, -1 when uncached.
+	Head int
+	// next[i] is node i's successor in the sharing list, -1 at the
+	// tail. A fixed array (valid only for present sharers) rather than
+	// a map keeps the record pointer-free.
+	next [64]int8
+}
+
+// AddSharer sets node's presence bit and links it at the head of the
+// sharing list (SCI prepends new sharers, making the home's head
+// pointer point at the most recent requester).
+func (l *ListLine) AddSharer(node int) {
+	if l.HasSharer(node) {
+		return
+	}
+	l.Line.AddSharer(node)
+	l.next[node] = int8(l.Head)
+	l.Head = node
+}
+
+// RemoveSharer clears node's presence bit and unlinks it from the
+// sharing list.
+func (l *ListLine) RemoveSharer(node int) {
+	if !l.HasSharer(node) {
+		return
+	}
+	l.Line.RemoveSharer(node)
+	if l.Head == node {
+		l.Head = int(l.next[node])
+		return
+	}
+	for cur := l.Head; cur >= 0; cur = int(l.next[cur]) {
+		if int(l.next[cur]) == node {
+			l.next[cur] = l.next[node]
+			return
+		}
+	}
+}
+
+// ClearSharers resets the block to uncached-clean. Stale next entries
+// need no clearing: the list is only reachable through Head and the
+// presence bits.
+func (l *ListLine) ClearSharers() {
+	l.Line.ClearSharers()
+	l.Head = -1
+}
+
+// SetDirty marks node as the exclusive dirty owner: the presence vector
+// and the list collapse to that single node.
+func (l *ListLine) SetDirty(node int) {
+	l.Line.SetDirty(node)
+	l.Head = node
+	l.next[node] = -1
+}
+
 // AppendList appends the sharing list in SCI order (head first) to dst
 // and returns the extended slice; callers that walk lists on a hot path
 // pass a reused buffer.
-func (l *Line) AppendList(dst []int) []int {
+func (l *ListLine) AppendList(dst []int) []int {
 	n := 0
 	for cur := l.Head; cur >= 0; cur = int(l.next[cur]) {
 		dst = append(dst, cur)
@@ -252,6 +268,45 @@ func (l *Line) AppendList(dst []int) []int {
 		}
 	}
 	return dst
+}
+
+// lineChunkSize is how many records a directory allocates at once;
+// records are handed out of chunks so each block's is not an individual
+// heap object.
+const lineChunkSize = 256
+
+// Directory is the home-node directory for all blocks homed at one
+// node, holding one record of type T per block touched.
+type Directory[T any] struct {
+	lines map[uint64]*T
+	chunk []T // current allocation chunk (pointers into it are stable)
+	fresh T   // a first-touch record: clean and uncached
+}
+
+// NewDirectory returns an empty full-map directory.
+func NewDirectory() *Directory[Line] {
+	return &Directory[Line]{lines: make(map[uint64]*Line)}
+}
+
+// NewListDirectory returns an empty linked-list directory.
+func NewListDirectory() *Directory[ListLine] {
+	return &Directory[ListLine]{lines: make(map[uint64]*ListLine), fresh: ListLine{Head: -1}}
+}
+
+// Line returns the record for block, creating a clean, uncached record
+// on first touch.
+func (d *Directory[T]) Line(block uint64) *T {
+	ln := d.lines[block]
+	if ln == nil {
+		if len(d.chunk) == 0 {
+			d.chunk = make([]T, lineChunkSize)
+		}
+		ln = &d.chunk[0]
+		d.chunk = d.chunk[1:]
+		*ln = d.fresh
+		d.lines[block] = ln
+	}
+	return ln
 }
 
 // Bank is one node's memory bank: a single server with the paper's

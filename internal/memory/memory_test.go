@@ -3,6 +3,7 @@ package memory
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -74,16 +75,68 @@ func TestHomeMapValidation(t *testing.T) {
 func TestDirectoryLineLifecycle(t *testing.T) {
 	d := NewDirectory()
 	ln := d.Line(0x100)
-	if ln.Dirty || ln.NumSharers() != 0 || ln.Head != -1 {
+	if ln.Dirty || ln.NumSharers() != 0 {
 		t.Fatalf("fresh line not clean/uncached: %+v", ln)
 	}
 	if d.Line(0x100) != ln {
 		t.Fatal("Line not memoized")
 	}
+	ld := NewListDirectory()
+	ll := ld.Line(0x100)
+	if ll.Dirty || ll.NumSharers() != 0 || ll.Head != -1 {
+		t.Fatalf("fresh list line not clean/uncached: %+v", ll)
+	}
+	if ld.Line(0x100) != ll {
+		t.Fatal("list Line not memoized")
+	}
+	// Records come out of shared chunks; every one starts fresh and
+	// keeps its address as more blocks are touched.
+	for b := uint64(0); b < 3*lineChunkSize; b++ {
+		if fresh := ld.Line(b << 4); b > 0 && fresh.Head != -1 {
+			t.Fatalf("record %d not fresh: head %d", b, fresh.Head)
+		}
+	}
+	if ld.Line(0x100) != ll {
+		t.Fatal("record moved as the directory grew")
+	}
+}
+
+// TestLineFootprint guards the full-map record's size: presence, owner
+// and dirty bit only, with the sharing list kept in ListLine.
+func TestLineFootprint(t *testing.T) {
+	if sz := unsafe.Sizeof(Line{}); sz > 24 {
+		t.Fatalf("sizeof(Line) = %d, want <= 24", sz)
+	}
+}
+
+// TestFullMapSharers covers the full-map record's presence, dirty and
+// owner transitions without any list.
+func TestFullMapSharers(t *testing.T) {
+	ln := NewDirectory().Line(0)
+	ln.AddSharer(3)
+	ln.AddSharer(7)
+	ln.AddSharer(3)
+	if ln.NumSharers() != 2 || !ln.HasSharer(3) || !ln.HasSharer(7) {
+		t.Fatalf("presence after adds: %+v", ln)
+	}
+	ln.RemoveSharer(5) // absent: no-op
+	ln.SetDirty(6)
+	if !ln.Dirty || ln.Owner != 6 || ln.NumSharers() != 1 || !ln.HasSharer(6) {
+		t.Fatalf("SetDirty(6) left %+v", ln)
+	}
+	ln.RemoveSharer(6)
+	if ln.Dirty || ln.NumSharers() != 0 {
+		t.Fatalf("owner removal left %+v", ln)
+	}
+	ln.SetDirty(2)
+	ln.ClearSharers()
+	if ln.Dirty || ln.NumSharers() != 0 {
+		t.Fatalf("ClearSharers left %+v", ln)
+	}
 }
 
 func TestSharerSetOperations(t *testing.T) {
-	d := NewDirectory()
+	d := NewListDirectory()
 	ln := d.Line(0)
 	ln.AddSharer(3)
 	ln.AddSharer(7)
@@ -108,7 +161,7 @@ func TestSharerSetOperations(t *testing.T) {
 }
 
 func TestSCIListOrder(t *testing.T) {
-	ln := NewDirectory().Line(0)
+	ln := NewListDirectory().Line(0)
 	ln.AddSharer(2)
 	ln.AddSharer(5)
 	ln.AddSharer(9)
@@ -132,7 +185,7 @@ func TestSCIListOrder(t *testing.T) {
 }
 
 func TestSetDirtyCollapses(t *testing.T) {
-	ln := NewDirectory().Line(0)
+	ln := NewListDirectory().Line(0)
 	ln.AddSharer(1)
 	ln.AddSharer(2)
 	ln.SetDirty(6)
@@ -153,7 +206,7 @@ func TestSetDirtyCollapses(t *testing.T) {
 }
 
 func TestClearSharers(t *testing.T) {
-	ln := NewDirectory().Line(0)
+	ln := NewListDirectory().Line(0)
 	ln.SetDirty(3)
 	ln.ClearSharers()
 	if ln.Dirty || ln.NumSharers() != 0 || ln.Head != -1 || len(ln.AppendList(nil)) != 0 {
@@ -162,20 +215,23 @@ func TestClearSharers(t *testing.T) {
 }
 
 func TestSharerRangeValidation(t *testing.T) {
-	ln := NewDirectory().Line(0)
-	defer func() {
-		if recover() == nil {
-			t.Error("AddSharer(64) did not panic")
-		}
-	}()
-	ln.AddSharer(64)
+	for _, add := range []func(int){NewDirectory().Line(0).AddSharer, NewListDirectory().Line(0).AddSharer} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("AddSharer(64) did not panic")
+				}
+			}()
+			add(64)
+		}()
+	}
 }
 
 func TestListMatchesPresenceInvariant(t *testing.T) {
 	// Property: the SCI list and the full-map presence vector always
 	// contain exactly the same nodes, in any add/remove interleaving.
 	f := func(ops []uint16) bool {
-		ln := NewDirectory().Line(0)
+		ln := NewListDirectory().Line(0)
 		for _, op := range ops {
 			node := int(op % 64)
 			if (op>>8)%2 == 0 {

@@ -15,6 +15,7 @@
 package ring
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/sim"
@@ -126,26 +127,37 @@ type Geometry struct {
 	slotClass []SlotClass
 }
 
+// Validate reports a configuration error, after zero fields take the
+// paper's defaults. NewGeometry panics on the same errors; callers that
+// take a configuration from outside the program check it here first.
+func (c Config) Validate() error {
+	c.fill()
+	switch {
+	case c.Nodes <= 0:
+		return errors.New("ring: need at least one node")
+	case c.ClockPS < 0:
+		return errors.New("ring: negative clock period")
+	case c.WidthBits <= 0 || c.WidthBits%8 != 0:
+		return errors.New("ring: width must be a positive multiple of 8 bits")
+	case c.Segments != 0 && c.Segments < 2:
+		return errors.New("ring: Segments must be 0 (classic) or at least 2")
+	case c.Segments != 0 && c.Nodes%c.Segments != 0:
+		return fmt.Errorf("ring: %d nodes not divisible into %d segments", c.Nodes, c.Segments)
+	case c.BlockBytes <= 0 || c.BlockBytes*8%c.WidthBits != 0:
+		return errors.New("ring: block size must be a whole number of ring words")
+	case c.ProbePairsPerBlockSlot < 0:
+		return errors.New("ring: negative probe slot pair count")
+	}
+	return nil
+}
+
 // NewGeometry computes the slot layout for a configuration, applying
-// the paper's defaults to zero fields.
+// the paper's defaults to zero fields. It panics on an invalid
+// configuration (see Validate).
 func NewGeometry(cfg Config) Geometry {
 	cfg.fill()
-	if cfg.Nodes <= 0 {
-		panic("ring: need at least one node")
-	}
-	if cfg.WidthBits <= 0 || cfg.WidthBits%8 != 0 {
-		panic("ring: width must be a positive multiple of 8 bits")
-	}
-	if cfg.Segments != 0 {
-		if cfg.Segments < 2 {
-			panic("ring: Segments must be 0 (classic) or at least 2")
-		}
-		if cfg.Nodes%cfg.Segments != 0 {
-			panic(fmt.Sprintf("ring: %d nodes not divisible into %d segments", cfg.Nodes, cfg.Segments))
-		}
-	}
-	if cfg.BlockBytes*8%cfg.WidthBits != 0 {
-		panic("ring: block size must be a whole number of ring words")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	g := Geometry{Config: cfg}
 	g.ProbeStages = (64 + cfg.WidthBits - 1) / cfg.WidthBits

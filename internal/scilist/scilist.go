@@ -54,7 +54,7 @@ type Engine struct {
 	caches []*cache.Cache
 	banks  []*memory.Bank
 	home   *memory.HomeMap
-	dir    *memory.Directory
+	dir    *memory.Directory[memory.ListLine]
 	pool   coherence.Pool
 
 	// WriteBacks counts dirty-eviction block messages.
@@ -77,7 +77,7 @@ func New(r *ring.Ring, opts Options) *Engine {
 		caches: make([]*cache.Cache, n),
 		banks:  make([]*memory.Bank, n),
 		home:   homeMapFor(n, opts),
-		dir:    memory.NewDirectory(),
+		dir:    memory.NewListDirectory(),
 	}
 	e.wbByNode = make([]uint64, n)
 	for i := 0; i < n; i++ {
@@ -96,8 +96,8 @@ func (e *Engine) Cache(node int) *cache.Cache { return e.caches[node] }
 // HomeMap returns the page-to-home placement.
 func (e *Engine) HomeMap() *memory.HomeMap { return e.home }
 
-// Directory exposes the shared directory store (tests only).
-func (e *Engine) Directory() *memory.Directory { return e.dir }
+// Directory exposes the directory store (tests only).
+func (e *Engine) Directory() *memory.Directory[memory.ListLine] { return e.dir }
 
 // Access performs one data reference for node; done fires at completion.
 func (e *Engine) Access(node int, addr uint64, write bool, done coherence.Done) {

@@ -597,3 +597,41 @@ func TestDefaultExecutorIntegration(t *testing.T) {
 		t.Error("full metrics snapshot missing or empty")
 	}
 }
+
+// TestMalformedGeometryIs400 posts jobs whose geometry a simulator
+// component would panic on, through the real executor. Each must come
+// back as a job error, and the server must keep serving afterwards: a
+// panic in a sweep worker would take the whole process down.
+func TestMalformedGeometryIs400(t *testing.T) {
+	eng := sweep.New(sweep.Options{Workers: 1})
+	_, ts := newTestServer(t, nil, Options{Engine: eng})
+	for _, body := range []string{
+		`{"cache_block_bytes":3}`,
+		`{"cache_bytes":100000}`,
+		`{"page_bytes":3000}`,
+		`{"protocol":"hier-ring","cpus":16,"clusters":5}`,
+		`{"ring_width_bits":7}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", body, resp.StatusCode, buf.String())
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after malformed jobs: %d", resp.StatusCode)
+	}
+	if resp, raw := postJob(t, ts.URL, sweep.Job{Benchmark: "WATER", CPUs: 8, DataRefsPerCPU: 100}, ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid job after malformed ones: %d %s", resp.StatusCode, raw)
+	}
+}

@@ -92,7 +92,9 @@ const (
 	// bucketCap pre-sizes every bucket heap. The buckets are carved
 	// from one backing array, so the wheel's first revolution does not
 	// grow wheelLen heaps from empty one append at a time; a bucket
-	// that outgrows its share reallocates on its own.
+	// that outgrows its share reallocates on its own. Eight would
+	// remove most of those reallocations but allocates more bytes per
+	// run on every benchmark shape (DESIGN.md §10.5).
 	bucketCap = 4
 )
 

@@ -53,7 +53,7 @@ func (j Job) SystemConfig() (core.Config, error) {
 			return core.Config{}, fmt.Errorf("%d cpus not divisible into %d ring segments", j.CPUs, j.RingSegments)
 		}
 	}
-	return core.Config{
+	cfg := core.Config{
 		Protocol:  proto,
 		ProcCycle: sim.Time(j.ProcCyclePS),
 		Ring: ring.Config{
@@ -72,7 +72,13 @@ func (j Job) SystemConfig() (core.Config, error) {
 		Clusters:          j.Clusters,
 		NonBlockingStores: j.NonBlockingStores,
 		WriteBufferDepth:  j.WriteBufferDepth,
-	}, nil
+	}
+	// The rest of the geometry (cache, page, ring, bus, clusters) is
+	// checked by the components' own rules, for the same reason.
+	if err := cfg.Validate(j.CPUs); err != nil {
+		return core.Config{}, err
+	}
+	return cfg, nil
 }
 
 // standaloneWarmup is the cold-start window the default executor

@@ -94,6 +94,54 @@ func TestJobRejectsBadSegmentShapes(t *testing.T) {
 	}
 }
 
+// TestJobRejectsBadGeometry: every geometry a component would panic on
+// comes back from SystemConfig as a job error, so a malformed job over
+// the wire cannot take a sweep worker (and the daemon) down.
+func TestJobRejectsBadGeometry(t *testing.T) {
+	for name, j := range map[string]Job{
+		"block not a power of two": {CacheBlockBytes: 3},
+		"block too small to pack":  {CacheBlockBytes: 2},
+		"one-byte block":           {CacheBlockBytes: 1},
+		"cache size not 2^k sets":  {CacheBytes: 100000},
+		"block larger than cache":  {CacheBytes: 4096, CacheBlockBytes: 8192},
+		"negative cache size":      {CacheBytes: -64},
+		"page not a power of two":  {PageBytes: 3000},
+		"negative page":            {PageBytes: -4096},
+		"clusters do not divide":   {Protocol: "hier-ring", CPUs: 16, Clusters: 5},
+		"one cluster":              {Protocol: "hier-ring", CPUs: 16, Clusters: 1},
+		"hier ring width":          {Protocol: "hier-ring", RingWidthBits: 7},
+		"ring width not bytes":     {RingWidthBits: 7},
+		"ring block not words":     {RingBlockBytes: 3},
+		"negative ring block":      {RingBlockBytes: -8},
+		"negative ring clock":      {RingClockPS: -1},
+		"negative probe pairs":     {RingProbePairs: -1},
+		"negative processor cycle": {ProcCyclePS: -1},
+		"negative bus clock":       {Protocol: "snoop-bus", BusClockPS: -1},
+	} {
+		_, err := j.SystemConfig()
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+			continue
+		}
+		if _, err := standaloneExecutor(obs.Config{}, 0)(j); err == nil {
+			t.Errorf("%s: the executor ran it", name)
+		}
+	}
+	// Valid non-default geometries keep working, and validation never
+	// touches a job's identity.
+	for _, j := range []Job{
+		{CacheBlockBytes: 4, CacheBytes: 4096},
+		{CacheBlockBytes: 64},
+		{Protocol: "hier-ring", CPUs: 16, Clusters: 8},
+		{Protocol: "snoop-bus", RingWidthBits: 7}, // the bus ignores ring fields
+		{RingWidthBits: 64, PageBytes: 8192},
+	} {
+		if _, err := j.SystemConfig(); err != nil {
+			t.Errorf("%+v rejected: %v", j, err)
+		}
+	}
+}
+
 func TestJobRNGSeedDiffersPerJob(t *testing.T) {
 	a := Job{Seed: 1}
 	b := Job{Seed: 1, CPUs: 8}
