@@ -50,20 +50,12 @@ type benchPoint struct {
 
 // benchReport is the BENCH_1.json schema.
 type benchReport struct {
-	Refs    int          `json:"refs"`
-	Seed    uint64       `json:"seed"`
-	Workers int          `json:"workers"`
-	Points  []benchPoint `json:"points"`
-	// ParallelScale is the parallel-kernel scaling record when the
-	// parallelscale experiment ran (wall clock, speedup, and result
-	// identity per partition count).
-	ParallelScale *parallelScaleReport `json:"parallel_scale,omitempty"`
-	// ShardedScale is the segmented-interconnect scaling record when
-	// the shardedscale experiment ran: same schema as ParallelScale,
-	// with per-point artifact hashes and cross-shard traffic rates.
-	ShardedScale *parallelScaleReport `json:"sharded_scale,omitempty"`
-	TotalWallNS  int64                `json:"total_wall_ns"`
-	Sweep        repro.SweepStats     `json:"sweep"`
+	Refs        int              `json:"refs"`
+	Seed        uint64           `json:"seed"`
+	Workers     int              `json:"workers"`
+	Points      []benchPoint     `json:"points"`
+	TotalWallNS int64            `json:"total_wall_ns"`
+	Sweep       repro.SweepStats `json:"sweep"`
 }
 
 func main() {
@@ -82,14 +74,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var (
 		refs       = fs.Int("refs", 2000, "data references per CPU in calibration simulations")
 		seed       = fs.Uint64("seed", 1993, "random seed for the whole suite")
-		only       = fs.String("only", "", "run a single experiment: table1..table4, figure3..figure6, validation, hierarchy, ablations, parallelscale, shardedscale")
+		only       = fs.String("only", "", "run a single experiment: table1..table4, figure3..figure6, validation, hierarchy, ablations")
 		plot       = fs.Bool("plot", false, "render figures as ASCII line charts instead of data tables")
 		workers    = fs.Int("workers", 0, "simulation worker pool size (0 = all CPUs)")
 		cacheDir   = fs.String("cachedir", "", "persist simulation results to this directory")
 		jsonOut    = fs.String("json", "BENCH_1.json", "write the machine-readable benchmark report here (empty to disable)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile (after GC) to this file on exit")
-		parallel   = fs.Int("parallel", 1, "partition covered simulations across this many event-kernel shards; also the top partition count the parallelscale experiment sweeps (1 = host default)")
 		version    = fs.Bool("version", false, "print build version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -134,10 +125,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Seed:           *seed,
 		Workers:        *workers,
 		CacheDir:       *cacheDir,
-		Parallel:       *parallel,
 	})
 
-	var psReport, ssReport *parallelScaleReport
 	experiments := []struct {
 		name string
 		run  func() string
@@ -208,22 +197,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			b.WriteString(s.AblationAccessControl(8))
 			return b.String()
 		}},
-		{"parallelscale", func() string {
-			rep, out, err := runParallelScale(*refs, *seed, *parallel)
-			if err != nil {
-				return "parallelscale FAILED: " + err.Error() + "\n"
-			}
-			psReport = rep
-			return out
-		}},
-		{"shardedscale", func() string {
-			rep, out, err := runShardedScale(*refs, *seed)
-			if err != nil {
-				return "shardedscale FAILED: " + err.Error() + "\n"
-			}
-			ssReport = rep
-			return out
-		}},
 	}
 
 	var points []benchPoint
@@ -266,14 +239,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	if *jsonOut != "" {
 		report := benchReport{
-			Refs:          *refs,
-			Seed:          *seed,
-			Workers:       s.SweepStats().Workers,
-			Points:        points,
-			ParallelScale: psReport,
-			ShardedScale:  ssReport,
-			TotalWallNS:   totalWall.Nanoseconds(),
-			Sweep:         s.SweepStats(),
+			Refs:        *refs,
+			Seed:        *seed,
+			Workers:     s.SweepStats().Workers,
+			Points:      points,
+			TotalWallNS: totalWall.Nanoseconds(),
+			Sweep:       s.SweepStats(),
 		}
 		raw, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {

@@ -91,7 +91,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		drainTimeout = fs.Duration("draintimeout", 30*time.Second, "max wait for in-flight work on shutdown")
 		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
 		traceSample  = fs.Int("tracesample", 0, "trace computed jobs, recording every k-th transaction span (0 = tracing off)")
-		parallel     = fs.Int("parallel", 1, "partition each covered simulation across this many event-kernel shards (1 = sequential; uncovered configs fall back loudly)")
 		tenantsFile  = fs.String("tenants", "", "tenants JSON file: API keys, fair-queue weights, rate limits, quotas (empty = anonymous single-tenant mode)")
 		allowAnon    = fs.Bool("allowanon", true, "accept keyless requests as the anonymous tenant; -allowanon=false requires -tenants and rejects requests without a known API key")
 
@@ -165,7 +164,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Workers:  *workers,
 		CacheDir: *cacheDir,
 		Trace:    obs.Config{SampleEvery: *traceSample},
-		Parallel: *parallel,
 	}
 	srvOpts := serve.Options{
 		QueueDepth:  *queueDepth,

@@ -42,8 +42,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceIn  = fs.String("trace", "", "replay a recorded trace file (from tracegen) instead of a synthetic workload")
 		traceOut = fs.String("trace-out", "", "write a Perfetto/Chrome trace of coherence transactions to this file (load at ui.perfetto.dev)")
 		traceSmp = fs.Int("trace-sample", 0, "record every k-th transaction as a full span (0 = 64 when -trace-out is set)")
-		parallel = fs.Int("parallel", 1, "partition the simulation across this many event-kernel shards (1 = sequential; uncovered configs fall back loudly)")
-		segments = fs.Int("segments", 0, "partition the ring interconnect into this many segments (0 = classic global-slot ring; >= 2 selects the segmented model, directory-ring only)")
 		version  = fs.Bool("version", false, "print build version and exit")
 		logLevel = fs.String("loglevel", "info", "structured JSON log level on stderr: debug | info | warn | error")
 	)
@@ -80,8 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		DataRefsPerCPU: *refs,
 		Seed:           *seed,
 		TraceSample:    *traceSmp,
-		Parallel:       *parallel,
-		RingSegments:   *segments,
 	}
 	if *traceOut != "" && cfg.TraceSample == 0 {
 		cfg.TraceSample = 64
@@ -91,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	logger.Debug("simulation start", "protocol", *protocol, "bench", *bench,
-		"cpus", *cpus, "refs", *refs, "seed", *seed, "parallel", *parallel)
+		"cpus", *cpus, "refs", *refs, "seed", *seed)
 	var res *repro.Result
 	var err error
 	if *traceIn != "" {
@@ -119,23 +115,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  shared miss rate      : %6.2f %%\n", 100*res.SharedMissRate)
 	fmt.Fprintf(stdout, "  total miss rate       : %6.2f %%\n", 100*res.TotalMissRate)
 	fmt.Fprintf(stdout, "  misses / upgrades     : %d / %d\n", res.Misses, res.Upgrades)
-
-	if *parallel > 1 {
-		if res.ParallelFallback != "" {
-			fmt.Fprintf(stdout, "  parallel execution    : fell back to sequential: %s\n", res.ParallelFallback)
-		} else {
-			var stall int64
-			for _, ns := range res.BarrierStallNS {
-				stall += ns
-			}
-			fmt.Fprintf(stdout, "  parallel execution    : %d partitions, %d windows, barrier stall %.2f ms total\n",
-				res.Partitions, res.ParallelWindows, float64(stall)/1e6)
-			if res.ParallelWindowPS > 0 {
-				fmt.Fprintf(stdout, "  sharded interconnect  : %d ps lookahead window, %d cross-shard events over %d carrying windows\n",
-					res.ParallelWindowPS, res.ParallelCrossEvents, res.ParallelCrossWindows)
-			}
-		}
-	}
 
 	if *traceOut != "" {
 		if err := writeTrace(res, *traceOut); err != nil {

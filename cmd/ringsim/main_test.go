@@ -81,12 +81,17 @@ func TestRunTraceSampleRequiresTraceOut(t *testing.T) {
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-bench", "NOSUCH"}, &out, &errb); code != 1 {
-		t.Fatalf("exit %d, want 1", code)
-	}
-	if !strings.Contains(errb.String(), "ringsim:") {
-		t.Errorf("stderr: %s", errb.String())
+	for _, args := range [][]string{
+		{"-bench", "NOSUCH"},
+		{"-ringbits", "7"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 1 {
+			t.Fatalf("%v: exit %d, want 1", args, code)
+		}
+		if !strings.Contains(errb.String(), "ringsim:") {
+			t.Errorf("%v: stderr: %s", args, errb.String())
+		}
 	}
 }
 

@@ -70,7 +70,7 @@ func TestEngineMissZeroAlloc(t *testing.T) {
 					t.Fatalf("the access cycle produced no %v transactions: %v", txn, count)
 				}
 			}
-			if wb := sys.writeBacksOf(0) + sys.writeBacksOf(1); wb == 0 {
+			if wb := sys.engine.WriteBacksOf(0) + sys.engine.WriteBacksOf(1); wb == 0 {
 				t.Fatal("the access cycle produced no write-backs")
 			}
 			if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {

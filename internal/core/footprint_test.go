@@ -52,30 +52,18 @@ func finalized(done <-chan struct{}) bool {
 // System itself cannot carry one: its processors point back at it, and
 // Go does not promise to finalize an object inside a reference cycle.
 func TestRunResultDetachedFromSystem(t *testing.T) {
-	for name, run := range map[string]func(Config, workload.Source) *Metrics{
-		"System.Run":          func(cfg Config, src workload.Source) *Metrics { return NewSystem(cfg, src).Run() },
-		"core.Run sequential": Run,
-		"core.Run parallel": func(cfg Config, src workload.Source) *Metrics {
-			cfg.Parallel = 2
-			m := Run(cfg, src)
-			if m.Parallel.Partitions != 2 {
-				t.Fatalf("parallel run fell back: %+v", m.Parallel)
-			}
-			return m
-		},
-	} {
-		done := make(chan struct{})
-		m := func() *Metrics {
-			gen := privateGen(8, 200, 1)
-			runtime.SetFinalizer(gen, func(*workload.Generator) { close(done) })
-			return run(Config{Protocol: DirectoryRing}, gen)
-		}()
-		if m.DataRefs == 0 {
-			t.Fatalf("%s: empty run", name)
-		}
-		if !finalized(done) {
-			t.Errorf("%s: the returned metrics keep the machine reachable", name)
-		}
-		runtime.KeepAlive(m)
+	done := make(chan struct{})
+	m := func() *Metrics {
+		gen := workload.NewGenerator(workload.Config{
+			Profile: workload.MustProfile("MP3D", 8), DataRefsPerCPU: 200, Seed: 1})
+		runtime.SetFinalizer(gen, func(*workload.Generator) { close(done) })
+		return NewSystem(Config{Protocol: DirectoryRing}, gen).Run()
+	}()
+	if m.DataRefs == 0 {
+		t.Fatal("empty run")
 	}
+	if !finalized(done) {
+		t.Error("the returned metrics keep the machine reachable")
+	}
+	runtime.KeepAlive(m)
 }

@@ -28,7 +28,7 @@ import (
 	"repro/internal/workload"
 )
 
-// Engine is the coherence-engine interface satisfied by all four
+// Engine is the coherence-engine interface satisfied by all five
 // protocol implementations.
 type Engine interface {
 	Access(node int, addr uint64, write bool, done coherence.Done)
@@ -36,13 +36,16 @@ type Engine interface {
 	// a readable state; the write-buffer model uses it for load
 	// bypassing.
 	HasBlock(node int, addr uint64) bool
+	// WriteBacksOf returns the dirty-eviction write-backs node's own
+	// evictions have caused so far; the per-processor warmup gating of
+	// Metrics.WriteBacks reads it.
+	WriteBacksOf(node int) uint64
 }
 
 // Compile-time checks that every engine satisfies the interface.
 var (
 	_ Engine = (*snoop.Engine)(nil)
 	_ Engine = (*directory.Engine)(nil)
-	_ Engine = (*directory.SegEngine)(nil)
 	_ Engine = (*scilist.Engine)(nil)
 	_ Engine = (*bussnoop.Engine)(nil)
 	_ Engine = (*hier.Engine)(nil)
@@ -133,13 +136,6 @@ type Config struct {
 	// ring buffers; ring and bus occupancy timelines are captured for
 	// the whole measured window.
 	Trace obs.Config
-	// Parallel requests a partitioned parallel run with that many
-	// domains (see Run and ParallelStats). 0 or 1 runs the sequential
-	// kernel exactly as before; higher values are honored only for
-	// configurations the partitioner covers, and fall back loudly
-	// (Metrics.Parallel.Fallback) otherwise. Only the Run entry point
-	// consults it; System always executes sequentially.
-	Parallel int
 }
 
 // Validate reports why cfg cannot build a machine of cpus processors:
@@ -245,42 +241,6 @@ type Metrics struct {
 	// of the run, not part of the deterministic simulated-machine
 	// results.
 	Trace *obs.Tracer
-
-	// Parallel describes how the run was executed (partition count,
-	// synchronization counters, fallback reason). Like EventsFired it is
-	// excluded from MetricsSnapshot: it describes the simulator's
-	// execution strategy, and the covered-config guarantee is precisely
-	// that the strategy never changes the simulated-machine results.
-	Parallel ParallelStats
-}
-
-// ParallelStats reports how a Run executed: the partitioning actually
-// used, the conservative-window synchronization counters, and — when
-// the requested parallelism could not be honored — the loud fallback
-// reason.
-type ParallelStats struct {
-	// Requested is Config.Parallel as asked for.
-	Requested int `json:"requested"`
-	// Partitions is the partition count actually used (1 = sequential).
-	Partitions int `json:"partitions"`
-	// Fallback is empty when the request was honored; otherwise it names
-	// why the run fell back to the sequential kernel. Configurations the
-	// partitioner cannot prove independent are never run in parallel
-	// silently.
-	Fallback string `json:"fallback,omitempty"`
-	// WindowPS is the barrier-window width actually used, in simulated
-	// picoseconds: the minimum boundary-link hop for segmented-
-	// interconnect runs, the fixed domain window otherwise.
-	WindowPS int64 `json:"window_ps,omitempty"`
-	// Windows and CrossEvents are the parallel kernel's barrier-window
-	// and cross-partition-event counts; CrossWindows is how many windows
-	// delivered at least one cross-partition event.
-	Windows      uint64 `json:"windows"`
-	CrossEvents  uint64 `json:"cross_events"`
-	CrossWindows uint64 `json:"cross_windows,omitempty"`
-	// BarrierStallNS is wall-clock nanoseconds each partition spent
-	// waiting at window barriers (imbalance signal).
-	BarrierStallNS []int64 `json:"barrier_stall_ns,omitempty"`
 }
 
 // ProcUtil returns the average processor utilization: busy over
@@ -310,10 +270,7 @@ func (m *Metrics) TotalMissRate() float64 {
 	return float64(m.SharedMisses+m.PrivateMisses) / float64(m.DataRefs)
 }
 
-// System is a runnable simulated multiprocessor — or, for parallel
-// runs, one partition of it: a System owns the processors in the node
-// range [lo, hi) of its workload, which is the full range for the
-// sequential entry points.
+// System is a runnable simulated multiprocessor.
 type System struct {
 	cfg    Config
 	k      *sim.Kernel
@@ -321,34 +278,16 @@ type System struct {
 	engine Engine
 	ring   *ring.Ring
 	bus    *bus.Bus
-	// segs is the segmented-ring variant's segment set (Ring.Segments
-	// >= 2 with the directory protocol): the whole chain for sequential
-	// runs, this domain's contiguous slice for partitioned ones.
-	segs []*ring.SegRing
-	// segWarm counts warmed processors per owned segment; a segment's
-	// statistics restart when its own last processor warms, which (unlike
-	// a global reset) is partition-invariant because domains own whole
-	// segments.
-	segWarm []int
-	// segTransitPS / segWarmPS are the owned segments' summed occupancy
-	// integral and stats-start times in integer picoseconds; finalize
-	// renders NetworkUtil from the merged sums so the figure is identical
-	// however the segments were partitioned.
-	segTransitPS int64
-	segWarmPS    int64
-	tracer       *obs.Tracer
-	procs        []*proc
-	lo, hi       int
-	m            Metrics
+	tracer *obs.Tracer
+	procs  []*proc
+	m      Metrics
 
 	// Latency aggregates accumulate in integer picoseconds and become
-	// the public stats.Mean fields in one finalize step. Integer sums
-	// are exact and order-free, which is what lets a partitioned run
-	// merge per-domain aggregates into byte-identical results; the
-	// incremental float path the Means used to take is neither.
+	// the public stats.Mean fields once, at the end of Run. Integer
+	// sums are exact and independent of observation order; the result
+	// artifacts are defined by this single final division.
 	missAcc, invAcc, bufAcc latAcc
 
-	running    int
 	finished   int
 	warmed     int
 	blockBytes int
@@ -357,8 +296,7 @@ type System struct {
 // latAcc accumulates a latency population exactly: integer-picosecond
 // sum, count, min and max. mean() converts to the reported stats.Mean
 // with a single division per moment, so the result is independent of
-// observation order and of how the population was split across
-// partitions.
+// observation order.
 type latAcc struct {
 	n            uint64
 	sumPS        int64
@@ -374,23 +312,6 @@ func (a *latAcc) observe(lat sim.Time) {
 	}
 	a.n++
 	a.sumPS += int64(lat)
-}
-
-// merge folds b into a; used by the parallel runner in fixed domain
-// order (the integer moments make the order irrelevant, but a fixed
-// order keeps the reduction auditable).
-func (a *latAcc) merge(b *latAcc) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 || b.minPS < a.minPS {
-		a.minPS = b.minPS
-	}
-	if a.n == 0 || b.maxPS > a.maxPS {
-		a.maxPS = b.maxPS
-	}
-	a.n += b.n
-	a.sumPS += b.sumPS
 }
 
 // mean renders the accumulator as the public nanosecond stats.Mean.
@@ -419,10 +340,8 @@ type proc struct {
 	warm       bool
 	// wbBase is the processor's engine write-back count at the instant
 	// it warmed; the run's WriteBacks metric is the per-processor
-	// post-warm sum. Gating each node at its own warm instant (like
-	// every other per-processor aggregate, and like the tracer's span
-	// counts) makes the metric independent of how processors are
-	// partitioned across domains.
+	// post-warm sum, gated at each node's own warm instant like every
+	// other per-processor aggregate and like the tracer's span counts.
 	wbBase uint64
 	// Pending issue event state: the data reference to access when the
 	// compute cycles elapse, or eol when the stream is exhausted.
@@ -500,22 +419,6 @@ func (o *storeOp) complete(at sim.Time, res coherence.Result) {
 // NewSystem builds a system running src under cfg. The node count comes
 // from the workload.
 func NewSystem(cfg Config, src workload.Source) *System {
-	return newSystemOn(sim.NewKernel(), cfg, src, 0, src.NumCPUs(), nil)
-}
-
-// newSystemOn builds a system on an existing kernel, owning only the
-// processors in [lo, hi). The sequential path passes the full range; the
-// parallel runner builds one domain per partition, each on its own
-// kernel shard. A domain still models the full machine's geometry (ring,
-// home placement) so node ids and addresses mean the same thing
-// everywhere, but it drives — and for the directory engine, allocates —
-// only its own nodes.
-//
-// segs, non-nil only for segmented-interconnect partitioned runs, is
-// this domain's pre-built (and pre-linked across shard boundaries)
-// slice of ring segments; sequential segmented runs build their own
-// full chain here.
-func newSystemOn(k *sim.Kernel, cfg Config, src workload.Source, lo, hi int, segs []*ring.SegRing) *System {
 	if cfg.ProcCycle == 0 {
 		cfg.ProcCycle = DefaultProcCycle
 	}
@@ -523,7 +426,8 @@ func newSystemOn(k *sim.Kernel, cfg Config, src workload.Source, lo, hi int, seg
 		cfg.WriteBufferDepth = 8
 	}
 	n := src.NumCPUs()
-	s := &System{cfg: cfg, k: k, src: src, lo: lo, hi: hi}
+	k := sim.NewKernel()
+	s := &System{cfg: cfg, k: k, src: src}
 	s.m.ClassCount = make(map[coherence.MissClass]uint64)
 	s.m.MissTraversals = stats.NewDistribution()
 	s.m.InvTraversals = stats.NewDistribution()
@@ -535,14 +439,6 @@ func newSystemOn(k *sim.Kernel, cfg Config, src workload.Source, lo, hi int, seg
 		pageBytes = 4096
 	}
 	home := memory.NewHomeMap(n, pageBytes, sim.NewRand(cfg.Seed))
-	if cfg.Protocol == DirectoryRing && cfg.Ring.Segments != 0 {
-		// The segmented interconnect's partitioned runs build one home
-		// map per domain; stateless hashed placement makes them agree on
-		// every shared page without coordination (the rng stream is
-		// consumed in first-touch order, a whole-run interleaving no
-		// partition can reproduce alone).
-		home = memory.NewHashedHomeMap(n, pageBytes, cfg.Seed)
-	}
 	home.SetHint(workload.HomeHint)
 
 	s.tracer = obs.New(cfg.Trace, n)
@@ -551,40 +447,13 @@ func newSystemOn(k *sim.Kernel, cfg Config, src workload.Source, lo, hi int, seg
 	case SnoopRing, DirectoryRing, SCIRing:
 		rc := cfg.Ring
 		rc.Nodes = n
-		if rc.Segments != 0 && cfg.Protocol != DirectoryRing {
-			panic(fmt.Sprintf("core: ring segments require the directory protocol, not %v", cfg.Protocol))
-		}
-		if rc.Segments != 0 {
-			// The segmented interconnect: per-segment injection and
-			// boundary-link serialization, the model whose boundary hop
-			// is the parallel kernel's lookahead. The packet engine owns
-			// exactly the nodes its segments cover, so a partial [lo, hi)
-			// range needs no extra plumbing — segs defines it.
-			if cfg.Trace.Enabled() {
-				panic("core: tracing is unsupported with the segmented ring (Ring.Segments >= 2)")
-			}
-			if segs == nil {
-				segs = ring.NewSegmentedChain(k, rc)
-			}
-			s.segs = segs
-			s.segWarm = make([]int, len(segs))
-			s.engine = directory.NewSegmented(segs, directory.Options{Cache: cfg.Cache, Home: home})
-			break
-		}
 		r := ring.New(k, rc)
 		s.ring = r
 		switch cfg.Protocol {
 		case SnoopRing:
 			s.engine = snoop.New(r, snoop.Options{Cache: cfg.Cache, Home: home, Tracer: s.tracer})
 		case DirectoryRing:
-			dopts := directory.Options{Cache: cfg.Cache, Home: home, Tracer: s.tracer}
-			if lo != 0 || hi != n {
-				// A partition domain: allocate caches/banks only for the
-				// owned nodes. Touching a foreign node then fails fast on
-				// a nil cache instead of corrupting a peer domain's twin.
-				dopts.NodeLo, dopts.NodeHi = lo, hi
-			}
-			s.engine = directory.New(r, dopts)
+			s.engine = directory.New(r, directory.Options{Cache: cfg.Cache, Home: home, Tracer: s.tracer})
 		case SCIRing:
 			s.engine = scilist.New(r, scilist.Options{Cache: cfg.Cache, Home: home})
 		}
@@ -632,10 +501,10 @@ func newSystemOn(k *sim.Kernel, cfg Config, src workload.Source, lo, hi int, seg
 	if s.blockBytes == 0 {
 		s.blockBytes = cache.DefaultConfig.BlockBytes
 	}
-	s.procs = make([]*proc, hi-lo)
+	s.procs = make([]*proc, n)
 	for i := range s.procs {
 		p := &proc{
-			id:            lo + i,
+			id:            i,
 			sys:           s,
 			warm:          cfg.WarmupDataRefs == 0,
 			pendingBlocks: make(map[uint64]bool),
@@ -663,22 +532,9 @@ func (s *System) crossWarmup(p *proc) {
 	p.warm = true
 	p.busy = 0
 	p.stall = 0
-	p.wbBase = s.writeBacksOf(p.id)
+	p.wbBase = s.engine.WriteBacksOf(p.id)
 	s.warmed++
 	s.tracer.SetWarm(p.id)
-	if s.segs != nil {
-		// Segmented interconnect: each segment's statistics restart when
-		// its own last processor warms. Gating per segment (not on the
-		// global last processor) keeps the restart instant a function of
-		// that segment's nodes alone, so it lands at the same simulated
-		// time however the segments are partitioned across domains.
-		si := s.segs[0].Geo.SegOf(p.id) - s.segs[0].Segment()
-		s.segWarm[si]++
-		if lo, hi := s.segs[si].NodeRange(); s.segWarm[si] == hi-lo {
-			s.segs[si].ResetStats()
-		}
-		return
-	}
 	if s.warmed == len(s.procs) {
 		if s.ring != nil {
 			s.ring.ResetStats()
@@ -691,11 +547,6 @@ func (s *System) crossWarmup(p *proc) {
 			rs.ResetNetStats()
 		}
 	}
-}
-
-// writeBacksOf reads node's eviction write-back count from the engine.
-func (s *System) writeBacksOf(node int) uint64 {
-	return s.engine.(interface{ WriteBacksOf(int) uint64 }).WriteBacksOf(node)
 }
 
 // Kernel returns the simulation kernel (tests and tools).
@@ -712,52 +563,19 @@ func (s *System) Bus() *bus.Bus { return s.bus }
 
 // Run executes every processor's stream to completion and returns the
 // metrics. The result is a copy that shares nothing with the System, so
-// keeping it does not keep the simulated machine alive.
+// keeping it does not keep the simulated machine alive: its maps,
+// distributions and tracer are the run's own objects, none of which
+// points back into the System.
 func (s *System) Run() *Metrics {
-	s.start()
-	s.k.Run()
-	s.collect()
-	s.finalize()
-	return s.detached()
-}
-
-// detached returns a copy of the metrics. Its maps, distributions and
-// tracer are the run's own objects, none of which points back into the
-// System.
-func (s *System) detached() *Metrics {
-	m := s.m
-	return &m
-}
-
-// start schedules every processor's first issue event. The parallel
-// runner calls it on each domain before driving the shared parallel
-// kernel.
-func (s *System) start() {
-	s.running = len(s.procs)
 	for _, p := range s.procs {
 		s.advance(p)
 	}
-}
-
-// collect folds the post-run state into the metrics: completion checks,
-// interconnect utilization, write-backs, kernel counters. It leaves the
-// latency accumulators raw so the parallel runner can merge domains
-// exactly; finalize renders them.
-func (s *System) collect() {
+	s.k.Run()
 	if s.finished != len(s.procs) {
 		panic(fmt.Sprintf("core: %d of %d processors did not finish (deadlock?)",
 			len(s.procs)-s.finished, len(s.procs)))
 	}
 	switch {
-	case s.segs != nil:
-		// Collect the owned segments' raw occupancy integrals; finalize
-		// renders NetworkUtil from the merged sums (a partitioned run
-		// must merge all domains' integrals first).
-		for _, sr := range s.segs {
-			transit, start := sr.Totals()
-			s.segTransitPS += int64(transit)
-			s.segWarmPS += int64(start)
-		}
 	case s.ring != nil:
 		s.m.NetworkUtil = s.ring.OverallUtilization()
 	case s.bus != nil:
@@ -769,39 +587,19 @@ func (s *System) collect() {
 	}
 	var wb uint64
 	for _, p := range s.procs {
-		wb += s.writeBacksOf(p.id) - p.wbBase
+		wb += s.engine.WriteBacksOf(p.id) - p.wbBase
 	}
 	s.m.WriteBacks = wb
 	s.m.EventsFired = s.k.Fired()
 	s.m.EventSlab = s.k.SlabSize()
 	s.tracer.Finish(s.k.Now())
 	s.m.Trace = s.tracer
-}
-
-// finalize renders the integer latency accumulators into the public
-// Mean fields — the single division per moment that keeps the result
-// independent of observation order and domain partitioning.
-func (s *System) finalize() {
-	if s.segs != nil {
-		// Ring-wide utilization from the merged per-segment occupancy
-		// integrals (see SegRing.Totals): one float expression over
-		// integer sums, so sequential and partitioned runs agree to the
-		// last bit. S and NumSlots are whole-machine figures regardless
-		// of how many segments this (root) domain owned itself.
-		g := &s.segs[0].Geo
-		S := int64(g.Segments)
-		denom := (S*int64(s.m.ExecTime) - s.segWarmPS) * int64(g.NumSlots())
-		if denom > 0 {
-			s.m.NetworkUtil = float64(s.segTransitPS*S) / float64(denom)
-		}
-	}
 	s.m.MissLatency = s.missAcc.mean()
 	s.m.InvLatency = s.invAcc.mean()
 	s.m.BufferedLatency = s.bufAcc.mean()
+	m := s.m
+	return &m
 }
-
-// Metrics returns the metrics collected so far.
-func (s *System) Metrics() *Metrics { return &s.m }
 
 // advance consumes references for p until its next data reference (or
 // stream end), charging one processor cycle per reference, then issues

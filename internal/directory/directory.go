@@ -44,13 +44,6 @@ type Options struct {
 	// Tracer, when non-nil, records coherence transactions as obs
 	// spans with phase annotations.
 	Tracer *obs.Tracer
-	// NodeLo/NodeHi, when NodeHi > 0, restrict the engine to nodes in
-	// [NodeLo, NodeHi): only their caches and banks are allocated. The
-	// parallel partitioner uses this for domain replicas — a node-range
-	// engine that somehow touches a node outside its range hits a nil
-	// cache or bank immediately instead of silently corrupting a peer
-	// partition's state. Zero values mean all nodes.
-	NodeLo, NodeHi int
 }
 
 func (o *Options) fill() {
@@ -94,11 +87,7 @@ func New(r *ring.Ring, opts Options) *Engine {
 		tr:     opts.Tracer,
 	}
 	e.wbByNode = make([]uint64, n)
-	lo, hi := 0, n
-	if opts.NodeHi > 0 {
-		lo, hi = opts.NodeLo, opts.NodeHi
-	}
-	for i := lo; i < hi; i++ {
+	for i := 0; i < n; i++ {
 		e.caches[i] = cache.New(opts.Cache)
 		e.banks[i] = memory.NewBank(k, "mem")
 	}

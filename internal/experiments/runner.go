@@ -49,10 +49,6 @@ type Options struct {
 	// CacheDir, when set, persists simulation results to a
 	// content-addressed on-disk cache shared across processes.
 	CacheDir string
-	// Parallel requests partitioned parallel execution of each covered
-	// simulation (uncovered configurations fall back to sequential,
-	// loudly, with identical results).
-	Parallel int
 	// OnEvent streams sweep progress events (job start/done/hit).
 	OnEvent func(sweep.Event)
 }
@@ -116,7 +112,6 @@ func NewRunner(opts Options) *Runner {
 	r.eng = sweep.New(sweep.Options{
 		Workers:  opts.Workers,
 		CacheDir: opts.CacheDir,
-		Parallel: opts.Parallel,
 		OnEvent:  opts.OnEvent,
 		Executors: map[string]sweep.Executor{
 			kindCalibrated: r.runCalibrated,

@@ -30,10 +30,6 @@ type HomeMap struct {
 	table map[uint64]int
 	rng   *sim.Rand
 	hint  func(addr uint64) (int, bool)
-	// hashed selects stateless placement: each unhinted page's home is
-	// a hash of its page number and hashSeed, never the rng stream.
-	hashed   bool
-	hashSeed uint64
 }
 
 // SetHint installs a placement hint consulted before random placement:
@@ -64,31 +60,6 @@ func NewHomeMap(nodes, pageBytes int, rng *sim.Rand) *HomeMap {
 	return &HomeMap{nodes: nodes, pageBytes: pageBytes, table: make(map[uint64]int), rng: rng}
 }
 
-// NewHashedHomeMap returns a page-granular placement that derives each
-// unhinted page's home from a hash of the page number and seed. Unlike
-// the rng stream (consumed in first-touch order, a whole-run
-// interleaving), the hash is a pure function of the address, so
-// independent partitions of a machine compute identical placements —
-// which is what lets partitioned runs of the segmented interconnect
-// share one consistent memory layout without coordination. The
-// distribution is as uniform as the rng's, just differently seeded, so
-// it models the same random OS placement.
-func NewHashedHomeMap(nodes, pageBytes int, seed uint64) *HomeMap {
-	h := NewHomeMap(nodes, pageBytes, nil)
-	h.hashed = true
-	h.hashSeed = seed
-	return h
-}
-
-// mix64 is the splitmix64 finalizer: a cheap, well-distributed 64-bit
-// mixing function.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Nodes returns the number of nodes in the mapping.
 func (h *HomeMap) Nodes() int { return h.nodes }
 
@@ -102,8 +73,6 @@ func (h *HomeMap) Home(addr uint64) int {
 	var home int
 	if n, ok := h.hintFor(addr); ok {
 		home = n
-	} else if h.hashed {
-		home = int(mix64(page^h.hashSeed) % uint64(h.nodes))
 	} else if h.rng != nil {
 		home = h.rng.Intn(h.nodes)
 	} else {

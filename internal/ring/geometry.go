@@ -74,14 +74,6 @@ type Config struct {
 	// reuse a slot at the very pass on which it removed a message
 	// (the paper reports the rule costs nothing; the ablation checks).
 	DisableStarvationRule bool
-	// Segments, when >= 2, selects the segmented ring variant (SegRing):
-	// the ring is partitioned into this many contiguous node segments
-	// with per-segment injection and boundary-link serialization, the
-	// shardable model whose boundary-link latency is the parallel
-	// kernel's lookahead. Zero is the classic global-slot ring. The
-	// segment count is part of the model (it changes arbitration), so
-	// it participates in result hashing wherever configs are hashed.
-	Segments int
 }
 
 // DefaultClock is the paper's 500 MHz ring clock.
@@ -139,10 +131,6 @@ func (c Config) Validate() error {
 		return errors.New("ring: negative clock period")
 	case c.WidthBits <= 0 || c.WidthBits%8 != 0:
 		return errors.New("ring: width must be a positive multiple of 8 bits")
-	case c.Segments != 0 && c.Segments < 2:
-		return errors.New("ring: Segments must be 0 (classic) or at least 2")
-	case c.Segments != 0 && c.Nodes%c.Segments != 0:
-		return fmt.Errorf("ring: %d nodes not divisible into %d segments", c.Nodes, c.Segments)
 	case c.BlockBytes <= 0 || c.BlockBytes*8%c.WidthBits != 0:
 		return errors.New("ring: block size must be a whole number of ring words")
 	case c.ProbePairsPerBlockSlot < 0:
@@ -241,51 +229,6 @@ func (g *Geometry) ProbeClassFor(blockAddr uint64) SlotClass {
 		return ProbeEven
 	}
 	return ProbeOdd
-}
-
-// SlotTime returns the time a slot of class c occupies one point on
-// the ring — the message length in stages times the stage clock. It is
-// the serialization granularity of the segmented variant's injection
-// points and boundary links.
-func (g *Geometry) SlotTime(c SlotClass) sim.Time {
-	if c == BlockSlot {
-		return sim.Time(g.BlockStages) * g.ClockPS
-	}
-	return sim.Time(g.ProbeStages) * g.ClockPS
-}
-
-// SegOf returns the segment owning node n (Segments >= 2 variants).
-func (g *Geometry) SegOf(n int) int { return n * g.Segments / g.Nodes }
-
-// SegmentBounds returns segment seg's contiguous node range [lo, hi).
-func (g *Geometry) SegmentBounds(seg int) (lo, hi int) {
-	return seg * g.Nodes / g.Segments, (seg + 1) * g.Nodes / g.Segments
-}
-
-// BoundaryHop returns the latency of segment seg's exit link: the
-// propagation time from the segment's last node to the next segment's
-// first node. A message crossing the boundary arrives no earlier than
-// this after its head clears the exit node, which makes the hop the
-// conservative-parallel lookahead of that link.
-func (g *Geometry) BoundaryHop(seg int) sim.Time {
-	_, hi := g.SegmentBounds(seg)
-	return g.PropTime(hi-1, hi%g.Nodes)
-}
-
-// MinSegmentHop returns the smallest boundary-link latency over all
-// segment boundaries — the widest safe window for a parallel run that
-// shards this ring by segment.
-func (g *Geometry) MinSegmentHop() sim.Time {
-	if g.Segments < 2 {
-		return 0
-	}
-	min := g.BoundaryHop(0)
-	for s := 1; s < g.Segments; s++ {
-		if h := g.BoundaryHop(s); h < min {
-			min = h
-		}
-	}
-	return min
 }
 
 // slotLen returns slot i's length in stages.

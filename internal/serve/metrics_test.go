@@ -71,7 +71,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		}
 		sub := strings.SplitN(strings.TrimPrefix(name, "ringsim_"), "_", 2)[0]
 		switch sub {
-		case "serve", "engine", "sim", "obs", "tenant", "build", "reqtrace", "cluster", "fleet":
+		case "serve", "engine", "obs", "tenant", "build", "reqtrace", "cluster", "fleet":
 		default:
 			t.Errorf("metric %q has unknown subsystem %q", name, sub)
 		}
@@ -93,10 +93,6 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		"ringsim_engine_jobs_total",
 		"ringsim_engine_events_fired_total",
 		"ringsim_engine_event_slab_max",
-		"ringsim_sim_parallel_runs_total",
-		"ringsim_sim_parallel_cross_windows_total",
-		"ringsim_sim_parallel_window_width_ps",
-		"ringsim_sim_parallel_barrier_stall_ns_total",
 		"ringsim_obs_spans_total",
 	} {
 		if !strings.Contains(buf.String(), want) {

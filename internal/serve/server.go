@@ -1091,28 +1091,6 @@ func (s *Server) renderMetrics(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE ringsim_engine_event_slab_max gauge")
 	fmt.Fprintf(w, "ringsim_engine_event_slab_max %d\n", st.EventSlabMax)
 
-	fmt.Fprintln(w, "# HELP ringsim_sim_parallel_runs_total Computed jobs executed on the partitioned parallel kernel.")
-	fmt.Fprintln(w, "# TYPE ringsim_sim_parallel_runs_total counter")
-	fmt.Fprintf(w, "ringsim_sim_parallel_runs_total %d\n", st.ParallelRuns)
-	fmt.Fprintln(w, "# HELP ringsim_sim_parallel_fallbacks_total Jobs where a parallel request fell back to the sequential kernel.")
-	fmt.Fprintln(w, "# TYPE ringsim_sim_parallel_fallbacks_total counter")
-	fmt.Fprintf(w, "ringsim_sim_parallel_fallbacks_total %d\n", st.ParallelFallbacks)
-	fmt.Fprintln(w, "# HELP ringsim_sim_parallel_windows_total Conservative barrier windows advanced across parallel runs.")
-	fmt.Fprintln(w, "# TYPE ringsim_sim_parallel_windows_total counter")
-	fmt.Fprintf(w, "ringsim_sim_parallel_windows_total %d\n", st.ParallelWindows)
-	fmt.Fprintln(w, "# HELP ringsim_sim_parallel_cross_events_total Cross-partition events exchanged across parallel runs.")
-	fmt.Fprintln(w, "# TYPE ringsim_sim_parallel_cross_events_total counter")
-	fmt.Fprintf(w, "ringsim_sim_parallel_cross_events_total %d\n", st.ParallelCrossEvents)
-	fmt.Fprintln(w, "# HELP ringsim_sim_parallel_cross_windows_total Barrier windows that delivered at least one cross-partition event, summed across parallel runs.")
-	fmt.Fprintln(w, "# TYPE ringsim_sim_parallel_cross_windows_total counter")
-	fmt.Fprintf(w, "ringsim_sim_parallel_cross_windows_total %d\n", st.ParallelCrossWindows)
-	fmt.Fprintln(w, "# HELP ringsim_sim_parallel_window_width_ps Narrowest barrier-window width any parallel run used, in simulated picoseconds (the boundary-link lookahead for segmented-interconnect runs).")
-	fmt.Fprintln(w, "# TYPE ringsim_sim_parallel_window_width_ps gauge")
-	fmt.Fprintf(w, "ringsim_sim_parallel_window_width_ps %d\n", st.ParallelWindowPS)
-	fmt.Fprintln(w, "# HELP ringsim_sim_parallel_barrier_stall_ns_total Wall clock partitions spent waiting at window barriers, summed across partitions and runs.")
-	fmt.Fprintln(w, "# TYPE ringsim_sim_parallel_barrier_stall_ns_total counter")
-	fmt.Fprintf(w, "ringsim_sim_parallel_barrier_stall_ns_total %d\n", st.ParallelBarrierStallNS)
-
 	fmt.Fprintln(w, "# HELP ringsim_obs_spans_total Coherence-transaction spans observed by computed jobs, by class.")
 	fmt.Fprintln(w, "# TYPE ringsim_obs_spans_total counter")
 	fmt.Fprintf(w, "ringsim_obs_spans_total %d\n", st.SpansObserved)

@@ -635,3 +635,35 @@ func TestMalformedGeometryIs400(t *testing.T) {
 		t.Fatalf("valid job after malformed ones: %d %s", resp.StatusCode, raw)
 	}
 }
+
+// TestRetiredJobInputsAre400: the segmented ring and the PRIVATE
+// profiles are gone. A job that still names them is refused as a bad
+// request, ring_segments as an unknown field and PRIVATE as a job
+// error, and the daemon keeps serving.
+func TestRetiredJobInputsAre400(t *testing.T) {
+	eng := sweep.New(sweep.Options{Workers: 1})
+	_, ts := newTestServer(t, nil, Options{Engine: eng})
+	for body, want := range map[string]string{
+		`{"protocol":"directory-ring","cpus":32,"ring_segments":8}`:     "unknown field",
+		`{"protocol":"directory-ring","benchmark":"PRIVATE","cpus":64}`: "no workload profile",
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(buf.String(), want) {
+			t.Errorf("%s: status %d (%s), want 400 naming %q", body, resp.StatusCode, buf.String(), want)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after retired inputs: %d", resp.StatusCode)
+	}
+}

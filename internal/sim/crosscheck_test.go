@@ -185,22 +185,3 @@ func TestKernelMatchesReferenceHeap(t *testing.T) {
 		}
 	}
 }
-
-func TestKernelRunUntilMatchesReferenceHeap(t *testing.T) {
-	// Same workload, but the real kernel is driven by repeated RunUntil
-	// steps — the path that pops records out of wheel buckets directly.
-	// Dispatch order and timestamps must still match the reference
-	// exactly; only idle clock advancement may differ.
-	for seed := uint64(1); seed <= 4; seed++ {
-		ref := &refKernel{}
-		refLog := driveRandomWorkload(refCal{ref}, seed, ref.run)
-
-		k := NewKernel()
-		realLog := driveRandomWorkload(realCal{k}, seed, func() {
-			for k.Pending() > 0 {
-				k.RunUntil(k.Now() + 7*bucketWidth/2)
-			}
-		})
-		compareLogs(t, "RunUntil", realLog, refLog)
-	}
-}

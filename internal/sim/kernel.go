@@ -248,7 +248,8 @@ func (k *Kernel) insert(idx uint32) {
 	tick := int64(k.recs[idx].at >> bucketShift)
 	if tick < k.baseTick {
 		// The wheel base can sit past the clock after a jump to the
-		// overflow minimum (e.g. a RunUntil that stopped short of it).
+		// overflow minimum (e.g. when that event was canceled and the
+		// run ended without dispatching it).
 		// Events landing behind the base go into the base bucket: each
 		// bucket is a (time, seq) heap, so they still fire first.
 		tick = k.baseTick
@@ -335,18 +336,6 @@ func (k *Kernel) peekMin() (uint32, bool) {
 		}
 		return top, true
 	}
-}
-
-// PeekTime reports the timestamp of the earliest pending event
-// without dispatching it. The parallel kernel's window scheduler uses
-// it to anchor each barrier window at the global minimum next-event
-// time.
-func (k *Kernel) PeekTime() (Time, bool) {
-	idx, ok := k.peekMin()
-	if !ok {
-		return 0, false
-	}
-	return k.recs[idx].at, true
 }
 
 // popMin removes and returns the earliest pending event.
@@ -456,41 +445,6 @@ func (k *Kernel) ReserveSeq(n int) uint64 {
 	return s
 }
 
-// BoundarySeqBand is the high bit that marks boundary sequence
-// numbers: tie-break positions assigned by the model itself rather
-// than by this kernel's scheduling counter. Events scheduled with
-// AtBoundary sort after every ordinarily scheduled event at the same
-// timestamp (the counter never reaches the band), and among
-// themselves in band-sequence order. The segmented ring derives the
-// band sequence from (boundary link, per-link FIFO index), which is a
-// pure function of the model — so a boundary arrival lands at the
-// same (time, seq) calendar position whether it was scheduled by the
-// same kernel (sequential run) or delivered across a ParKernel
-// barrier (parallel run). That equivalence is what makes the
-// parallel segmented-ring runs byte-identical to sequential ones.
-const BoundarySeqBand uint64 = 1 << 63
-
-// AtBoundary schedules h at time t occupying the explicit boundary
-// sequence position seq, which must carry BoundarySeqBand. Unlike
-// AtReserved, the position is not drawn from this kernel's counter:
-// callers own the band's collision discipline (the segmented ring
-// keys it by boundary link and per-link FIFO index, which never
-// repeats within a run).
-func (k *Kernel) AtBoundary(t Time, seq uint64, h EventHandler) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
-	}
-	if h == nil {
-		panic("sim: scheduling nil event handler")
-	}
-	if seq&BoundarySeqBand == 0 {
-		panic("sim: AtBoundary requires a banded sequence number")
-	}
-	idx := k.alloc(t, seq, nil, h)
-	k.insert(idx)
-	k.live++
-}
-
 // AtReserved schedules h at time t occupying a FIFO position
 // previously obtained from ReserveSeq. t must not be in the past and
 // seq must come from an earlier reservation.
@@ -526,11 +480,11 @@ func (k *Kernel) dispatch(idx uint32) {
 	h.OnEvent(at)
 }
 
-// Stop makes the currently executing Run or RunUntil return once the
-// current event handler finishes. Stop only affects the run in
-// progress: both Run and RunUntil clear the stop flag when they return
-// (and when they start), so a stopped kernel can be reused — calling
-// Stop outside a run is a no-op.
+// Stop makes the currently executing Run return once the current
+// event handler finishes. Stop only affects the run in progress: Run
+// clears the stop flag when it returns (and when it starts), so a
+// stopped kernel can be reused — calling Stop outside a run is a
+// no-op.
 func (k *Kernel) Stop() { k.stopped = true }
 
 // Run dispatches events until the calendar is empty or Stop is called.
@@ -544,34 +498,6 @@ func (k *Kernel) Run() Time {
 			break
 		}
 		k.dispatch(idx)
-	}
-	k.stopped = false
-	return k.now
-}
-
-// RunUntil dispatches events with timestamps <= limit. Events beyond
-// the limit stay on the calendar. If the run was not stopped early the
-// clock is advanced to limit; after a Stop it stays at the last
-// dispatched event's time. The stop flag is reset on return, so the
-// kernel can be reused either way. It returns the final simulation
-// time.
-func (k *Kernel) RunUntil(limit Time) Time {
-	k.stopped = false
-	for !k.stopped {
-		idx, ok := k.peekMin()
-		if !ok || k.recs[idx].at > limit {
-			break
-		}
-		b := &k.buckets[k.baseIdx]
-		k.bucketPop(b)
-		k.wheelCount--
-		if len(*b) == 0 {
-			k.occ[k.baseIdx>>6] &^= 1 << uint(k.baseIdx&63)
-		}
-		k.dispatch(idx)
-	}
-	if !k.stopped && k.now < limit {
-		k.now = limit
 	}
 	k.stopped = false
 	return k.now

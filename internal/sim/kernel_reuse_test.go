@@ -3,8 +3,8 @@ package sim
 import "testing"
 
 // These tests pin the Stop/Run reuse contract: Stop only affects the
-// run in progress, and both Run and RunUntil clear the stop flag on
-// entry and on return, so a stopped kernel can always be reused.
+// run in progress, and Run clears the stop flag on entry and on
+// return, so a stopped kernel can always be reused.
 
 func TestKernelStopThenRunReuse(t *testing.T) {
 	k := NewKernel()
@@ -38,73 +38,27 @@ func TestKernelStopThenRunReuse(t *testing.T) {
 	}
 }
 
-func TestKernelStopThenRunUntilReuse(t *testing.T) {
+func TestKernelCanceledOverflowMinThenReschedule(t *testing.T) {
+	// A run that discards a canceled far-future event jumps the wheel
+	// base past the clock and ends without dispatching anything. Events
+	// scheduled afterwards land behind the base and must still fire in
+	// (time, seq) order.
 	k := NewKernel()
+	far := Time(3*wheelLen) * bucketWidth
+	h := k.Schedule(far, handlerFunc(func(Time) { t.Fatal("canceled event fired") }))
+	if !k.Cancel(h) {
+		t.Fatal("Cancel of a pending event failed")
+	}
+	if got := k.Run(); got != 0 {
+		t.Fatalf("Run() over a canceled calendar left clock at %v, want 0", got)
+	}
 	var fired []Time
-	k.At(10, func() { fired = append(fired, 10); k.Stop() })
-	k.At(20, func() { fired = append(fired, 20) })
-	// Stopped early: the clock stays at the last dispatched event, not
-	// the limit.
-	if got := k.RunUntil(100); got != 10 {
-		t.Fatalf("stopped RunUntil(100) left clock at %v, want 10", got)
-	}
-	if len(fired) != 1 {
-		t.Fatalf("fired %d events before Stop, want 1", len(fired))
-	}
-	// The kernel is reusable: the next RunUntil dispatches the rest and
-	// advances the clock to the limit.
-	if got := k.RunUntil(100); got != 100 {
-		t.Fatalf("resumed RunUntil(100) left clock at %v, want 100", got)
-	}
-	if len(fired) != 2 {
-		t.Fatalf("fired %d events after resume, want 2", len(fired))
-	}
-}
-
-func TestKernelRunUntilThenRun(t *testing.T) {
-	// Mixing the two run modes must preserve the calendar: RunUntil
-	// leaves future events pending, Run picks them up.
-	k := NewKernel()
-	var fired []Time
-	for _, at := range []Time{5, 15, 25} {
+	for _, at := range []Time{30, 10, 20, far + 5} {
 		at := at
 		k.At(at, func() { fired = append(fired, at) })
 	}
-	k.RunUntil(10)
-	if len(fired) != 1 || k.Now() != 10 {
-		t.Fatalf("after RunUntil(10): fired=%v Now=%v, want [5] 10", fired, k.Now())
-	}
 	k.Run()
-	if len(fired) != 3 || k.Now() != 25 {
-		t.Fatalf("after Run(): fired=%v Now=%v, want [5 15 25] 25", fired, k.Now())
-	}
-}
-
-func TestKernelRunUntilAcrossBuckets(t *testing.T) {
-	// Regression: RunUntil pops events directly out of wheel buckets and
-	// must clear the occupancy bit when it empties one, or the next
-	// dispatch finds a stale bit pointing at an empty bucket. The event
-	// times here are chosen to land in distinct buckets (spacing >
-	// bucketWidth) with empty buckets between them.
-	k := NewKernel()
-	var fired []Time
-	for _, at := range []Time{100, 3 * bucketWidth, 9 * bucketWidth, (wheelLen + 5) * bucketWidth} {
-		at := at
-		k.At(at, func() { fired = append(fired, at) })
-	}
-	k.RunUntil(200) // empties the first bucket
-	if len(fired) != 1 {
-		t.Fatalf("fired %d events by t=200, want 1", len(fired))
-	}
-	k.RunUntil(4 * bucketWidth) // crosses the emptied bucket
-	if len(fired) != 2 {
-		t.Fatalf("fired %d events by t=%v, want 2", len(fired), 4*bucketWidth)
-	}
-	// Refill an already-emptied region and drain everything, overflow
-	// tier included.
-	k.At(5*bucketWidth, func() { fired = append(fired, 5*bucketWidth) })
-	k.Run()
-	want := []Time{100, 3 * bucketWidth, 5 * bucketWidth, 9 * bucketWidth, (wheelLen + 5) * bucketWidth}
+	want := []Time{10, 20, 30, far + 5}
 	if len(fired) != len(want) {
 		t.Fatalf("fired %v, want %v", fired, want)
 	}

@@ -106,37 +106,6 @@ func TestKernelStop(t *testing.T) {
 	}
 }
 
-func TestKernelRunUntil(t *testing.T) {
-	k := NewKernel()
-	var fired []Time
-	for _, at := range []Time{10, 20, 30, 40} {
-		at := at
-		k.At(at, func() { fired = append(fired, at) })
-	}
-	k.RunUntil(25)
-	if len(fired) != 2 {
-		t.Fatalf("fired %d events by t=25, want 2", len(fired))
-	}
-	if k.Now() != 25 {
-		t.Fatalf("Now() = %v after RunUntil(25), want 25", k.Now())
-	}
-	k.RunUntil(100)
-	if len(fired) != 4 {
-		t.Fatalf("fired %d events by t=100, want 4", len(fired))
-	}
-	if k.Now() != 100 {
-		t.Fatalf("Now() = %v after RunUntil(100), want 100", k.Now())
-	}
-}
-
-func TestKernelRunUntilIdleAdvancesClock(t *testing.T) {
-	k := NewKernel()
-	k.RunUntil(500)
-	if k.Now() != 500 {
-		t.Fatalf("Now() = %v, want 500 on empty calendar", k.Now())
-	}
-}
-
 func TestKernelFiredCount(t *testing.T) {
 	k := NewKernel()
 	for i := Time(1); i <= 7; i++ {

@@ -64,7 +64,12 @@ func (c *resultCache) path(hash string) string {
 // get looks a hash up in memory, then on disk. Disk hits are promoted
 // into memory so repeated lookups return the same *Result. A
 // truncated, corrupt, or mislabeled artifact is treated as a miss and
-// deleted; the recompute's put rewrites it atomically.
+// deleted; the recompute's put rewrites it atomically. Mislabeled
+// means the stored hash, or the hash re-derived from the stored job,
+// differs from the file name (Engine.Adopt's gate for the peer tier):
+// an artifact whose job was edited, or was written by a build whose Job
+// had a field this one lacks, must not be served as another
+// experiment's result.
 func (c *resultCache) get(hash string) (*Result, Source) {
 	c.mu.RLock()
 	r, ok := c.mem[hash]
@@ -83,7 +88,7 @@ func (c *resultCache) get(hash string) (*Result, Source) {
 		return nil, SourceComputed
 	}
 	var res Result
-	if err := json.Unmarshal(raw, &res); err != nil || res.Hash != hash {
+	if err := json.Unmarshal(raw, &res); err != nil || res.Hash != hash || res.Job.Hash() != hash {
 		os.Remove(c.path(hash))
 		return nil, SourceComputed
 	}

@@ -88,13 +88,6 @@ type Options struct {
 	// carry a live tracer, and the engine folds their per-class span
 	// latency histograms into its lifetime aggregates.
 	Trace obs.Config
-	// Parallel requests partitioned parallel execution (that many
-	// domains) in the default standalone executor. Like Trace it is an
-	// execution detail, never part of a job's identity: covered
-	// configurations produce byte-identical results at any partition
-	// count, and uncovered ones fall back to the sequential kernel
-	// (counted in Stats.ParallelFallbacks).
-	Parallel int
 }
 
 // BatchStats summarizes one Run call.
@@ -158,23 +151,6 @@ type Stats struct {
 	SpansObserved uint64 `json:"spans_observed,omitempty"`
 	SpansSampled  uint64 `json:"spans_sampled,omitempty"`
 	SpansDropped  uint64 `json:"spans_dropped,omitempty"`
-	// ParallelRuns counts computed jobs executed by the partitioned
-	// parallel kernel; ParallelFallbacks those where a parallel request
-	// fell back to sequential. ParallelWindows / ParallelCrossEvents /
-	// ParallelBarrierStallNS sum the parallel kernel's synchronization
-	// counters across those runs. All zero when Options.Parallel <= 1.
-	ParallelRuns           uint64 `json:"parallel_runs,omitempty"`
-	ParallelFallbacks      uint64 `json:"parallel_fallbacks,omitempty"`
-	ParallelWindows        uint64 `json:"parallel_windows,omitempty"`
-	ParallelCrossEvents    uint64 `json:"parallel_cross_events,omitempty"`
-	ParallelBarrierStallNS int64  `json:"parallel_barrier_stall_ns,omitempty"`
-	// ParallelCrossWindows sums windows that delivered cross-partition
-	// events; ParallelWindowPS is the narrowest (most conservative)
-	// barrier-window width any parallel run used, in simulated
-	// picoseconds — segmented-interconnect runs derive it from the
-	// boundary-link hop latency.
-	ParallelCrossWindows uint64 `json:"parallel_cross_windows,omitempty"`
-	ParallelWindowPS     int64  `json:"parallel_window_ps,omitempty"`
 	// LastBatch summarizes the most recent Run call; a repeated sweep
 	// shows its cache hit rate here.
 	LastBatch BatchStats `json:"last_batch"`
@@ -232,7 +208,7 @@ func New(opts Options) *Engine {
 	if w <= 0 {
 		w = runtime.NumCPU()
 	}
-	execs := map[string]Executor{"": standaloneExecutor(opts.Trace, opts.Parallel)}
+	execs := map[string]Executor{"": standaloneExecutor(opts.Trace)}
 	for k, fn := range opts.Executors {
 		execs[k] = fn
 	}
@@ -567,20 +543,6 @@ func (e *Engine) compute(job Job, hash string) (*Result, error) {
 	e.stats.EventsFired += m.EventsFired
 	if m.EventSlab > e.stats.EventSlabMax {
 		e.stats.EventSlabMax = m.EventSlab
-	}
-	if pp := m.Parallel; pp.Partitions > 1 {
-		e.stats.ParallelRuns++
-		e.stats.ParallelWindows += pp.Windows
-		e.stats.ParallelCrossEvents += pp.CrossEvents
-		e.stats.ParallelCrossWindows += pp.CrossWindows
-		if pp.WindowPS > 0 && (e.stats.ParallelWindowPS == 0 || pp.WindowPS < e.stats.ParallelWindowPS) {
-			e.stats.ParallelWindowPS = pp.WindowPS
-		}
-		for _, ns := range pp.BarrierStallNS {
-			e.stats.ParallelBarrierStallNS += ns
-		}
-	} else if pp.Requested > 1 {
-		e.stats.ParallelFallbacks++
 	}
 	if tr := m.Trace; tr != nil {
 		for t := 0; t < coherence.NumTxn; t++ {

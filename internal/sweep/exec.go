@@ -39,20 +39,6 @@ func (j Job) SystemConfig() (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	// Reject invalid segmented-ring shapes here, politely: core treats
-	// them as programmer error and panics, but a Job arrives over the
-	// wire and must come back as a job error instead.
-	if j.RingSegments != 0 {
-		if j.RingSegments < 2 {
-			return core.Config{}, fmt.Errorf("ring_segments must be 0 (classic ring) or >= 2, not %d", j.RingSegments)
-		}
-		if proto != core.DirectoryRing {
-			return core.Config{}, fmt.Errorf("ring_segments requires the directory-ring protocol, not %s", j.Protocol)
-		}
-		if j.CPUs%j.RingSegments != 0 {
-			return core.Config{}, fmt.Errorf("%d cpus not divisible into %d ring segments", j.CPUs, j.RingSegments)
-		}
-	}
 	cfg := core.Config{
 		Protocol:  proto,
 		ProcCycle: sim.Time(j.ProcCyclePS),
@@ -62,7 +48,6 @@ func (j Job) SystemConfig() (core.Config, error) {
 			BlockBytes:             j.RingBlockBytes,
 			ProbePairsPerBlockSlot: j.RingProbePairs,
 			DisableStarvationRule:  j.RingNoStarvationRule,
-			Segments:               j.RingSegments,
 		},
 		Bus:               bus.Config{ClockPS: sim.Time(j.BusClockPS)},
 		Cache:             cache.Config{SizeBytes: j.CacheBytes, BlockBytes: j.CacheBlockBytes},
@@ -73,8 +58,10 @@ func (j Job) SystemConfig() (core.Config, error) {
 		NonBlockingStores: j.NonBlockingStores,
 		WriteBufferDepth:  j.WriteBufferDepth,
 	}
-	// The rest of the geometry (cache, page, ring, bus, clusters) is
-	// checked by the components' own rules, for the same reason.
+	// The geometry (cache, page, ring, bus, clusters) is checked by the
+	// components' own rules here, politely: the constructors treat a
+	// malformed geometry as programmer error and panic, but a Job
+	// arrives over the wire and must come back as a job error instead.
 	if err := cfg.Validate(j.CPUs); err != nil {
 		return core.Config{}, err
 	}
@@ -85,13 +72,13 @@ func (j Job) SystemConfig() (core.Config, error) {
 // excludes from measurement, matching the repro facade.
 const standaloneWarmup = 600
 
-// standaloneExecutor builds the default executor with engine-wide
-// tracing and parallelism configs. Both are execution details, never
-// part of a job's identity: the simulated results are bit-identical
-// with them on or off, so all variants of the same job share one cache
+// standaloneExecutor builds the default executor with an engine-wide
+// tracing config. Tracing is an execution detail, never part of a
+// job's identity: the simulated results are bit-identical with it on or
+// off, so traced and untraced runs of the same job share one cache
 // entry.
-func standaloneExecutor(trace obs.Config, parallel int) Executor {
-	return func(j Job) (*core.Metrics, error) { return runStandalone(j, trace, parallel) }
+func standaloneExecutor(trace obs.Config) Executor {
+	return func(j Job) (*core.Metrics, error) { return runStandalone(j, trace) }
 }
 
 // runStandalone is the default executor: one complete machine over the
@@ -99,7 +86,7 @@ func standaloneExecutor(trace obs.Config, parallel int) Executor {
 // builds. The workload and home-placement RNG seed is derived from the
 // job's content hash, so every job owns an independent, reproducible
 // random stream no matter which worker runs it.
-func runStandalone(j Job, trace obs.Config, parallel int) (*core.Metrics, error) {
+func runStandalone(j Job, trace obs.Config) (*core.Metrics, error) {
 	j = j.Normalize()
 	prof, ok := workload.ProfileFor(j.Benchmark, j.CPUs)
 	if !ok {
@@ -112,14 +99,6 @@ func runStandalone(j Job, trace obs.Config, parallel int) (*core.Metrics, error)
 	seed := j.RNGSeed()
 	cfg.Seed = seed
 	cfg.Trace = trace
-	cfg.Parallel = parallel
-	if j.RingSegments != 0 {
-		// Tracing samples on a global span counter and is unsupported
-		// over the segmented ring. It is an execution detail, never part
-		// of job identity, so segmented jobs simply run untraced rather
-		// than failing on an engine-wide tracing default.
-		cfg.Trace = obs.Config{}
-	}
 	if cfg.WarmupDataRefs == 0 {
 		cfg.WarmupDataRefs = standaloneWarmup
 	}
@@ -128,5 +107,5 @@ func runStandalone(j Job, trace obs.Config, parallel int) (*core.Metrics, error)
 		DataRefsPerCPU: j.DataRefsPerCPU + cfg.WarmupDataRefs,
 		Seed:           seed,
 	})
-	return core.Run(cfg, gen), nil
+	return core.NewSystem(cfg, gen).Run(), nil
 }

@@ -50,12 +50,7 @@ type Job struct {
 	RingBlockBytes       int   `json:"ring_block_bytes,omitempty"`
 	RingProbePairs       int   `json:"ring_probe_pairs,omitempty"`
 	RingNoStarvationRule bool  `json:"ring_no_starvation_rule,omitempty"`
-	// RingSegments >= 2 selects the segmented ring interconnect
-	// (directory protocol only). It changes arbitration — a different
-	// model, not an execution detail — so unlike the engine-wide
-	// parallelism setting it is part of the job's identity and hash.
-	RingSegments int   `json:"ring_segments,omitempty"`
-	BusClockPS   int64 `json:"bus_clock_ps,omitempty"`
+	BusClockPS           int64 `json:"bus_clock_ps,omitempty"`
 
 	// Cache geometry (zero: 128 KB / 16 B) and home-placement page.
 	CacheBytes      int `json:"cache_bytes,omitempty"`

@@ -51,7 +51,6 @@ func TestJobHashCanonical(t *testing.T) {
 		{RingWidthBits: 64},
 		{NonBlockingStores: true},
 		{Kind: "calibrated"},
-		{Protocol: "directory-ring", RingSegments: 4},
 	}
 	seen := map[string]bool{b.Hash(): true}
 	for _, m := range mutants {
@@ -63,34 +62,50 @@ func TestJobHashCanonical(t *testing.T) {
 	}
 }
 
-// TestJobRejectsBadSegmentShapes: an invalid segmented-ring job
-// arrives over the wire, so it must come back as a job error — core
-// treats the same shapes as programmer error and panics, which would
-// take the whole serving process down.
-func TestJobRejectsBadSegmentShapes(t *testing.T) {
-	for name, j := range map[string]Job{
-		"one segment":    {Benchmark: "MP3D", CPUs: 16, Protocol: "directory-ring", RingSegments: 1},
-		"wrong protocol": {Benchmark: "MP3D", CPUs: 16, Protocol: "snoop-ring", RingSegments: 4},
-		"indivisible":    {Benchmark: "MP3D", CPUs: 16, Protocol: "directory-ring", RingSegments: 5},
+// TestJobHashGolden pins the content hashes of classic jobs: one per
+// protocol, the write-buffer machine, non-default ring width, cache
+// size, cache block, page size and cluster count, and two of the
+// experiment runner's calibrated jobs. The hashes key every cached
+// artifact, so a change to Job's fields or their encoding that moves
+// any of them strands every result already on disk. The table was
+// computed while Job still had its omitempty ring_segments field, so it
+// also shows that retiring the field moved no classic hash.
+func TestJobHashGolden(t *testing.T) {
+	for _, g := range []struct {
+		job  Job
+		hash string
+	}{
+		{Job{Protocol: "snoop-ring", Benchmark: "MP3D", CPUs: 16, DataRefsPerCPU: 2000, Seed: 1},
+			"5f96b71674ad413a5958108154f13c1b8e40c4004feb62b68ed9fde70c435162"},
+		{Job{Protocol: "directory-ring", Benchmark: "MP3D", CPUs: 32, ProcCyclePS: 5000, DataRefsPerCPU: 2000, Seed: 1993},
+			"667c8c11d61f566995512e0ac3983577ed60872e4ffb4515885951d46bfb5dd5"},
+		{Job{Protocol: "sci-ring", Benchmark: "WATER", CPUs: 16, DataRefsPerCPU: 500, Seed: 7},
+			"4bee8a1f9ff8e5618ff86e2103a39e10f75c751685ad5f0554ac5a3279940a35"},
+		{Job{Protocol: "snoop-bus", Benchmark: "CHOLESKY", CPUs: 8, BusClockPS: 10000, DataRefsPerCPU: 500, Seed: 7},
+			"7bdc2ec9ea54753efed62bed4b7231fedcef6476397ceafb65b183c231372e2e"},
+		{Job{Protocol: "hier-ring", Benchmark: "FFT", CPUs: 64, DataRefsPerCPU: 500, Seed: 7},
+			"37b06b6080f4d4a99e5e7d3b76cc20205cb407ded8b510ee2ea7c364c15d8cd9"},
+		{Job{Protocol: "directory-ring", Benchmark: "MP3D", CPUs: 16, NonBlockingStores: true, WriteBufferDepth: 4, DataRefsPerCPU: 2000, Seed: 1},
+			"d1ab58366bb0f92b7d4170ebcd15d7ab6bafbe542da7bdabab5296181f811e0d"},
+		{Job{Protocol: "snoop-ring", Benchmark: "MP3D", CPUs: 16, RingWidthBits: 64, DataRefsPerCPU: 2000, Seed: 1},
+			"733de3a3dd337e7734281e6f472e76d72243f9f1869e80fb75293fba03405d8f"},
+		{Job{Protocol: "snoop-ring", Benchmark: "MP3D", CPUs: 16, CacheBytes: 4096, DataRefsPerCPU: 2000, Seed: 1},
+			"d957cce0f893b76e66163dd06c91503b4c2adbad80e1854eadafbe6927a1c323"},
+		{Job{Protocol: "snoop-ring", Benchmark: "MP3D", CPUs: 16, CacheBlockBytes: 64, RingBlockBytes: 64, DataRefsPerCPU: 2000, Seed: 1},
+			"a5d13fa6286f083551c562ff1464601b7c43682948251da97e69039f7c04f909"},
+		{Job{Protocol: "directory-ring", Benchmark: "MP3D", CPUs: 16, PageBytes: 8192, DataRefsPerCPU: 2000, Seed: 1},
+			"8f7cc72a1e7241fbc633f41f79e5bf92418a9c2e3ee2399aff0660f43638c764"},
+		{Job{Protocol: "hier-ring", Benchmark: "MP3D", CPUs: 32, Clusters: 8, DataRefsPerCPU: 2000, Seed: 1},
+			"79ba4255d67a2db652ed981d8191b02b03e5df0d483beccbad61cdbe0e3f0fee"},
+		{Job{Kind: "calibrated", Protocol: "directory-ring", Benchmark: "MP3D", CPUs: 16, DataRefsPerCPU: 2000, CalibrationIters: 2, Seed: 0x5eed},
+			"d12df5371c455805562662be88e035b9bbc7af30f631dc31c8430d13063203bf"},
+		{Job{Kind: "calibrated", Protocol: "snoop-ring", Benchmark: "MP3D", CPUs: 16, ProcCyclePS: 2500, RingNoStarvationRule: true,
+			WarmupDataRefs: 600, DataRefsPerCPU: 2000, CalibrationIters: 2, Seed: 0x5eed},
+			"1a88f1f44def66cd0a5b7509cdf555778f4f76e14ac87f135c733d868b9086a0"},
 	} {
-		if _, err := j.SystemConfig(); err == nil {
-			t.Errorf("%s: accepted", name)
+		if got := g.job.Hash(); got != g.hash {
+			t.Errorf("%s: hash %s, pinned %s (canonical %s)", g.job, got, g.hash, g.job.Canonical())
 		}
-	}
-	// A valid segmented job executes — even on a traced engine, which
-	// must drop tracing for it rather than fail.
-	j := Job{Benchmark: "MP3D", CPUs: 16, Protocol: "directory-ring",
-		RingSegments: 4, DataRefsPerCPU: 200, Seed: 3}
-	if _, err := j.SystemConfig(); err != nil {
-		t.Fatalf("valid segmented job rejected: %v", err)
-	}
-	eng := New(Options{Workers: 1, Trace: obs.Config{SampleEvery: 8}})
-	res, err := eng.Run(context.Background(), []Job{j})
-	if err != nil || len(res) != 1 {
-		t.Fatalf("segmented job on traced engine: %v", err)
-	}
-	if res[0].Snapshot.ExecTimePS == 0 {
-		t.Fatalf("degenerate segmented result: %+v", res[0].Snapshot)
 	}
 }
 
@@ -123,7 +138,7 @@ func TestJobRejectsBadGeometry(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 			continue
 		}
-		if _, err := standaloneExecutor(obs.Config{}, 0)(j); err == nil {
+		if _, err := standaloneExecutor(obs.Config{})(j); err == nil {
 			t.Errorf("%s: the executor ran it", name)
 		}
 	}
@@ -213,7 +228,7 @@ func TestDuplicateJobsInOneBatchComputeOnce(t *testing.T) {
 	var computed atomic.Int64
 	counting := func(j Job) (*core.Metrics, error) {
 		computed.Add(1)
-		return runStandalone(j, obs.Config{}, 0)
+		return runStandalone(j, obs.Config{})
 	}
 	e := New(Options{Workers: 8, Executors: map[string]Executor{"": counting}})
 	job := Job{Benchmark: "MP3D", CPUs: 8, DataRefsPerCPU: 200}
@@ -340,7 +355,7 @@ func TestStandaloneMatchesDirectSimulation(t *testing.T) {
 	// hand with the derived seed — memoization never changes results.
 	job := Job{Protocol: "snoop-ring", Benchmark: "WATER", CPUs: 8,
 		ProcCyclePS: int64(5 * sim.Nanosecond), DataRefsPerCPU: 400, Seed: 3}
-	direct, err := runStandalone(job, obs.Config{}, 0)
+	direct, err := runStandalone(job, obs.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

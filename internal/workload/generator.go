@@ -246,14 +246,6 @@ func (g *Generator) Profile() Profile { return g.cfg.Profile }
 // for calibration).
 func (g *Generator) SharedBurst() float64 { return g.sharedBurst }
 
-// PrivateOnly reports whether the generated streams can never touch
-// shared data: with PrivateFrac exactly 1 the shared-region paths are
-// unreachable (Rand.Bool(1) consumes no randomness), every reference
-// lands in the issuing CPU's disjoint private/ifetch regions, and each
-// CPU's stream is a pure function of its own split RNG. The parallel
-// partitioner keys its workload coverage check on this.
-func (g *Generator) PrivateOnly() bool { return g.cfg.Profile.PrivateFrac >= 1 }
-
 func (g *Generator) block(base, idx uint64) uint64 {
 	return base + idx*uint64(g.cfg.BlockBytes)
 }

@@ -107,48 +107,10 @@ var profiles = []Profile{
 	mk("SIMPLE", 64, 14.02, 11.59, 9.94, 0.35, 4.07, 0.11, 0.1597, 0.5416, 0.10),
 }
 
-// privateProfiles is the PRIVATE family: synthetic all-private
-// workloads (no shared data, no migration) used by the parallel
-// execution mode's covered class and its scaling benchmarks. The mix
-// approximates a Table 2 private-reference column — ~2 ifetches per
-// data reference, a 5% private miss rate — at ring-scale CPU counts.
-// They are deliberately NOT part of Profiles(): the Table 2
-// enumeration that the calibration suites and analytical-model
-// comparisons iterate must keep exactly the paper's rows.
-var privateProfiles = []Profile{
-	mkPrivate(8), mkPrivate(16), mkPrivate(32), mkPrivate(64),
-}
-
-// mkPrivate builds the PRIVATE profile at one CPU count. PrivateFrac
-// is exactly 1, so generated streams never touch shared regions — the
-// property the parallel partitioner keys on (the directory protocol
-// then never crosses node boundaries). CPU counts stop at 64, the
-// directory presence-bitmap width.
-func mkPrivate(cpus int) Profile {
-	return Profile{
-		Name:             "PRIVATE",
-		CPUs:             cpus,
-		InstrPerData:     2.0,
-		PrivateFrac:      1,
-		PrivateWriteFrac: 0.25,
-		TotalMissRate:    0.05,
-		SharedMissRate:   0,
-		MigratoryFrac:    0,
-	}
-}
-
 // Profiles returns all benchmark profiles (Table 2, every row).
 func Profiles() []Profile {
 	out := make([]Profile, len(profiles))
 	copy(out, profiles)
-	return out
-}
-
-// PrivateProfiles returns the synthetic PRIVATE family (see
-// privateProfiles); not part of the Table 2 enumeration.
-func PrivateProfiles() []Profile {
-	out := make([]Profile, len(privateProfiles))
-	copy(out, privateProfiles)
 	return out
 }
 
@@ -158,15 +120,10 @@ func SPLASHNames() []string { return []string{"MP3D", "WATER", "CHOLESKY"} }
 // MITNames lists the 64-CPU benchmarks.
 func MITNames() []string { return []string{"FFT", "WEATHER", "SIMPLE"} }
 
-// ProfileFor returns the profile for a benchmark at a system size,
-// searching Table 2 and the PRIVATE family.
+// ProfileFor returns the Table 2 profile for a benchmark at a system
+// size.
 func ProfileFor(name string, cpus int) (Profile, bool) {
 	for _, p := range profiles {
-		if p.Name == name && p.CPUs == cpus {
-			return p, true
-		}
-	}
-	for _, p := range privateProfiles {
 		if p.Name == name && p.CPUs == cpus {
 			return p, true
 		}

@@ -112,32 +112,6 @@ type Config struct {
 	// resulting Perfetto trace. Zero (the default) disables tracing
 	// entirely; the simulated results are identical either way.
 	TraceSample int
-	// Parallel, when > 1, requests a partitioned parallel simulation
-	// with that many domains. Covered configurations produce results
-	// byte-identical to the sequential kernel; everything else falls
-	// back to sequential execution with Result.ParallelFallback naming
-	// why. 0 or 1 (the default) is today's sequential kernel, untouched.
-	//
-	// The covered class is directory-ring, untraced, blocking stores,
-	// and either (a) a private-only workload such as the PRIVATE
-	// benchmarks (independent domains, any partition count up to the
-	// CPU count), or (b) RingSegments >= 2 (the segmented interconnect,
-	// any workload: boundary-crossing coherence traffic is carried as
-	// cross-partition events under the boundary links' hop-latency
-	// lookahead; the partition count is clamped to the largest divisor
-	// of the segment count within the request).
-	Parallel int
-	// RingSegments, when >= 2, selects the segmented ring interconnect:
-	// the ring is split into that many contiguous node segments with
-	// per-segment injection points and serialized boundary links. It is
-	// a distinct interconnect model (arbitration differs from the
-	// classic global-slot ring), so results differ from RingSegments ==
-	// 0 and the value participates in result hashing; its purpose is to
-	// give parallel simulation real lookahead, letting SHARED workloads
-	// run partitioned with byte-identical results. Requires the
-	// directory-ring protocol, CPUs divisible by the segment count, and
-	// no tracing.
-	RingSegments int
 }
 
 func (c *Config) fill() error {
@@ -173,20 +147,6 @@ func (c *Config) fill() error {
 	}
 	if _, ok := workload.ProfileFor(c.Benchmark, c.CPUs); !ok {
 		return fmt.Errorf("repro: no workload profile %s/%d (see repro.Benchmarks)", c.Benchmark, c.CPUs)
-	}
-	if c.RingSegments != 0 {
-		if c.RingSegments < 2 {
-			return fmt.Errorf("repro: RingSegments must be 0 (classic ring) or >= 2, not %d", c.RingSegments)
-		}
-		if c.Protocol != DirectoryRing {
-			return fmt.Errorf("repro: RingSegments requires the directory-ring protocol, not %s", c.Protocol)
-		}
-		if c.CPUs%c.RingSegments != 0 {
-			return fmt.Errorf("repro: %d CPUs not divisible into %d ring segments", c.CPUs, c.RingSegments)
-		}
-		if c.TraceSample > 0 {
-			return fmt.Errorf("repro: tracing is unsupported with the segmented ring (RingSegments >= 2)")
-		}
 	}
 	return nil
 }
@@ -225,25 +185,6 @@ type Result struct {
 	TotalMissRate float64
 	// Misses and Upgrades count coherence transactions.
 	Misses, Upgrades uint64
-
-	// Partitions is how many parallel domains executed the run (1 =
-	// sequential); ParallelFallback names why a Config.Parallel request
-	// was not honored (empty when it was, or was never made).
-	Partitions       int
-	ParallelFallback string
-	// ParallelWindows counts conservative barrier windows,
-	// ParallelCrossEvents the events exchanged between partitions, and
-	// BarrierStallNS the wall-clock nanoseconds each partition spent
-	// waiting at window barriers (per-partition imbalance signal); all
-	// zero for sequential runs. ParallelWindowPS is the barrier-window
-	// width in simulated picoseconds (the minimum boundary-link hop for
-	// segmented-interconnect runs) and ParallelCrossWindows how many
-	// windows carried at least one cross-partition event.
-	ParallelWindows      uint64
-	ParallelCrossEvents  uint64
-	ParallelWindowPS     int64
-	ParallelCrossWindows uint64
-	BarrierStallNS       []int64
 
 	// tr is the run's transaction tracer when Config.TraceSample
 	// enabled it (see HasTrace / WriteTrace / SpanClasses).
@@ -310,52 +251,64 @@ func (r *Result) String() string {
 		100*r.ProcUtil, 100*r.NetworkUtil, r.MissLatencyNS, r.InvLatencyNS, r.ExecTimeUS)
 }
 
+// systemConfig translates the filled cfg into the core configuration
+// of a machine with cpus processors and checks it against the
+// components' own rules, so that a malformed geometry (ring width,
+// clocks, cluster count) comes back as an error instead of a panic
+// inside the simulator.
+func (c Config) systemConfig(cpus int) (core.Config, error) {
+	proto, err := c.Protocol.internal()
+	if err != nil {
+		return core.Config{}, err
+	}
+	sc := core.Config{
+		Protocol:  proto,
+		ProcCycle: sim.Time(c.ProcCycleNS * float64(sim.Nanosecond)),
+		Ring:      ring.Config{ClockPS: sim.Time(1e6 / float64(c.RingMHz)), WidthBits: c.RingWidthBits},
+		Bus:       bus.Config{ClockPS: sim.Time(1e6 / float64(c.BusMHz))},
+		Clusters:  c.Clusters,
+		Seed:      c.Seed,
+		Trace:     obs.Config{SampleEvery: c.TraceSample},
+	}
+	if err := sc.Validate(cpus); err != nil {
+		return core.Config{}, fmt.Errorf("repro: %w", err)
+	}
+	return sc, nil
+}
+
+// resultOf distills a run's metrics.
+func resultOf(m *core.Metrics) *Result {
+	return &Result{
+		tr:             m.Trace,
+		ProcUtil:       m.ProcUtil(),
+		NetworkUtil:    m.NetworkUtil,
+		MissLatencyNS:  m.MissLatency.Value(),
+		InvLatencyNS:   m.InvLatency.Value(),
+		ExecTimeUS:     m.ExecTime.Nanoseconds() / 1000,
+		SharedMissRate: m.SharedMissRate(),
+		TotalMissRate:  m.TotalMissRate(),
+		Misses:         m.SharedMisses + m.PrivateMisses,
+		Upgrades:       m.Upgrades,
+	}
+}
+
 // Run simulates one machine to completion.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	proto, err := cfg.Protocol.internal()
+	sc, err := cfg.systemConfig(cfg.CPUs)
 	if err != nil {
 		return nil, err
 	}
-	prof := workload.MustProfile(cfg.Benchmark, cfg.CPUs)
 	const warmup = 600
+	sc.WarmupDataRefs = warmup
 	gen := workload.NewGenerator(workload.Config{
-		Profile:        prof,
+		Profile:        workload.MustProfile(cfg.Benchmark, cfg.CPUs),
 		DataRefsPerCPU: cfg.DataRefsPerCPU + warmup,
 		Seed:           cfg.Seed,
 	})
-	m := core.Run(core.Config{
-		Protocol:       proto,
-		ProcCycle:      sim.Time(cfg.ProcCycleNS * float64(sim.Nanosecond)),
-		Ring:           ring.Config{ClockPS: sim.Time(1e6 / float64(cfg.RingMHz)), WidthBits: cfg.RingWidthBits, Segments: cfg.RingSegments},
-		Bus:            bus.Config{ClockPS: sim.Time(1e6 / float64(cfg.BusMHz))},
-		Clusters:       cfg.Clusters,
-		Seed:           cfg.Seed,
-		WarmupDataRefs: warmup,
-		Trace:          obs.Config{SampleEvery: cfg.TraceSample},
-		Parallel:       cfg.Parallel,
-	}, gen)
-	return &Result{
-		tr:                   m.Trace,
-		ProcUtil:             m.ProcUtil(),
-		NetworkUtil:          m.NetworkUtil,
-		MissLatencyNS:        m.MissLatency.Value(),
-		InvLatencyNS:         m.InvLatency.Value(),
-		ExecTimeUS:           m.ExecTime.Nanoseconds() / 1000,
-		SharedMissRate:       m.SharedMissRate(),
-		TotalMissRate:        m.TotalMissRate(),
-		Misses:               m.SharedMisses + m.PrivateMisses,
-		Upgrades:             m.Upgrades,
-		Partitions:           m.Parallel.Partitions,
-		ParallelFallback:     m.Parallel.Fallback,
-		ParallelWindows:      m.Parallel.Windows,
-		ParallelCrossEvents:  m.Parallel.CrossEvents,
-		ParallelWindowPS:     m.Parallel.WindowPS,
-		ParallelCrossWindows: m.Parallel.CrossWindows,
-		BarrierStallNS:       m.Parallel.BarrierStallNS,
-	}, nil
+	return resultOf(core.NewSystem(sc, gen).Run()), nil
 }
 
 // RunTrace simulates cfg's machine over a recorded trace file (written
@@ -368,8 +321,7 @@ func RunTrace(cfg Config, path string) (*Result, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	proto, err := cfg.Protocol.internal()
-	if err != nil {
+	if _, err := cfg.Protocol.internal(); err != nil {
 		return nil, err
 	}
 	tr, err := trace.ReadFile(path)
@@ -379,26 +331,9 @@ func RunTrace(cfg Config, path string) (*Result, error) {
 	if tr.NumCPUs() == 0 {
 		return nil, fmt.Errorf("repro: trace %s has no processors", path)
 	}
-	sys := core.NewSystem(core.Config{
-		Clusters:  cfg.Clusters,
-		Protocol:  proto,
-		ProcCycle: sim.Time(cfg.ProcCycleNS * float64(sim.Nanosecond)),
-		Ring:      ring.Config{ClockPS: sim.Time(1e6 / float64(cfg.RingMHz)), WidthBits: cfg.RingWidthBits},
-		Bus:       bus.Config{ClockPS: sim.Time(1e6 / float64(cfg.BusMHz))},
-		Seed:      cfg.Seed,
-		Trace:     obs.Config{SampleEvery: cfg.TraceSample},
-	}, workload.NewTraceSource(tr))
-	m := sys.Run()
-	return &Result{
-		tr:             m.Trace,
-		ProcUtil:       m.ProcUtil(),
-		NetworkUtil:    m.NetworkUtil,
-		MissLatencyNS:  m.MissLatency.Value(),
-		InvLatencyNS:   m.InvLatency.Value(),
-		ExecTimeUS:     m.ExecTime.Nanoseconds() / 1000,
-		SharedMissRate: m.SharedMissRate(),
-		TotalMissRate:  m.TotalMissRate(),
-		Misses:         m.SharedMisses + m.PrivateMisses,
-		Upgrades:       m.Upgrades,
-	}, nil
+	sc, err := cfg.systemConfig(tr.NumCPUs())
+	if err != nil {
+		return nil, err
+	}
+	return resultOf(core.NewSystem(sc, workload.NewTraceSource(tr)).Run()), nil
 }

@@ -49,32 +49,30 @@ func TestRunRejectsUnknownBenchmark(t *testing.T) {
 	}
 }
 
-func TestRunRingSegments(t *testing.T) {
-	// Invalid shapes are rejected with a reason, not a panic.
+// TestRunRejectsMalformedConfig: a machine the components cannot
+// build comes back from Run and RunTrace as an error, never a panic.
+func TestRunRejectsMalformedConfig(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"one segment":    {Benchmark: "MP3D", CPUs: 16, Protocol: "directory-ring", RingSegments: 1},
-		"wrong protocol": {Benchmark: "MP3D", CPUs: 16, Protocol: "snoop-ring", RingSegments: 4},
-		"indivisible":    {Benchmark: "MP3D", CPUs: 16, Protocol: "directory-ring", RingSegments: 5},
-		"traced":         {Benchmark: "MP3D", CPUs: 16, Protocol: "directory-ring", RingSegments: 4, TraceSample: 8},
+		"clusters do not divide": {Protocol: HierRing, CPUs: 16, Clusters: 5},
+		"ring width not bytes":   {RingWidthBits: 7},
+		"negative ring clock":    {RingMHz: -500},
+		"negative bus clock":     {Protocol: SnoopBus, BusMHz: -50},
 	} {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-
-	// A valid segmented run carries the window and cross-shard stats
-	// through the facade.
-	cfg := Config{Benchmark: "MP3D", CPUs: 16, Protocol: "directory-ring",
-		RingSegments: 4, DataRefsPerCPU: 600, Seed: 11, Parallel: 4}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Partitions != 4 || res.ParallelFallback != "" {
-		t.Fatalf("partitions=%d fallback=%q", res.Partitions, res.ParallelFallback)
-	}
-	if res.ParallelWindowPS <= 0 || res.ParallelCrossEvents == 0 || res.ParallelCrossWindows == 0 {
-		t.Fatalf("segmented run carried no cross-shard traffic: %+v", res)
+	// RunTrace checks the machine at the trace's CPU count: 16 clusters
+	// divide the 16 CPUs Config defaults to, but not the trace's 8.
+	path := t.TempDir() + "/m8.trc.gz"
+	writeTestTrace(t, path)
+	for name, cfg := range map[string]Config{
+		"clusters do not divide the trace": {Protocol: HierRing, Clusters: 16},
+		"ring width not bytes":             {RingWidthBits: 7},
+	} {
+		if _, err := RunTrace(cfg, path); err == nil {
+			t.Errorf("trace, %s: accepted", name)
+		}
 	}
 }
 

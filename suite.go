@@ -32,11 +32,6 @@ type SuiteOptions struct {
 	// content-addressed on-disk cache, so a rerun of the suite replays
 	// instead of recomputing.
 	CacheDir string
-	// Parallel requests partitioned parallel execution of each covered
-	// calibration simulation; uncovered configurations (all the shared
-	// Table 2 workloads) fall back to sequential with identical
-	// results, so the suite's output never depends on this knob.
-	Parallel int
 }
 
 // NewSuite returns an evaluation suite.
@@ -47,7 +42,6 @@ func NewSuite(opts SuiteOptions) *Suite {
 		Seed:           opts.Seed,
 		Workers:        opts.Workers,
 		CacheDir:       opts.CacheDir,
-		Parallel:       opts.Parallel,
 	})}
 }
 
@@ -169,20 +163,7 @@ func (s *Suite) AblationAccessControl(nodes int) string {
 func (s *Suite) SnoopVsDirectory(bench string, cpus int) (snoop, directory Result) {
 	_, ms := s.r.Simulate(core.SnoopRing, bench, cpus)
 	_, md := s.r.Simulate(core.DirectoryRing, bench, cpus)
-	conv := func(m *core.Metrics) Result {
-		return Result{
-			ProcUtil:       m.ProcUtil(),
-			NetworkUtil:    m.NetworkUtil,
-			MissLatencyNS:  m.MissLatency.Value(),
-			InvLatencyNS:   m.InvLatency.Value(),
-			ExecTimeUS:     m.ExecTime.Nanoseconds() / 1000,
-			SharedMissRate: m.SharedMissRate(),
-			TotalMissRate:  m.TotalMissRate(),
-			Misses:         m.SharedMisses + m.PrivateMisses,
-			Upgrades:       m.Upgrades,
-		}
-	}
-	return conv(ms), conv(md)
+	return *resultOf(ms), *resultOf(md)
 }
 
 // AblationLatencyTolerance renders the weak-ordering (non-blocking
