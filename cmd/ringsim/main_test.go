@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/coherence"
+	"repro/internal/trace"
 )
 
 func TestRunSimulatesOneMachine(t *testing.T) {
@@ -81,9 +84,22 @@ func TestRunTraceSampleRequiresTraceOut(t *testing.T) {
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
+	// A directory record tracks at most 64 nodes.
+	wide := filepath.Join(t.TempDir(), "w65.trc.gz")
+	tr := &trace.Trace{Name: "wide", Streams: make([][]trace.Ref, 65)}
+	for cpu := range tr.Streams {
+		tr.Streams[cpu] = []trace.Ref{{CPU: int32(cpu), Op: coherence.Load, Shared: true, Addr: 0x2000_0000_0000}}
+	}
+	if err := trace.WriteFile(wide, tr); err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]string{
 		{"-bench", "NOSUCH"},
 		{"-ringbits", "7"},
+		{"-cpus", "8", "-refs", "-600"},
+		{"-cpus", "8", "-refs", "-5000"},
+		{"-protocol", "directory-ring", "-trace", wide},
+		{"-protocol", "sci-ring", "-trace", wide},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(args, &out, &errb); code != 1 {

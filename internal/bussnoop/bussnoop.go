@@ -40,12 +40,6 @@ func (o *Options) fill() {
 	}
 }
 
-// blockMeta is the dirty bit and owner kept at the home memory.
-type blockMeta struct {
-	dirty bool
-	owner int
-}
-
 // Engine is a snooping coherence engine over a split-transaction bus.
 type Engine struct {
 	k      *sim.Kernel
@@ -53,7 +47,7 @@ type Engine struct {
 	caches []*cache.Cache
 	banks  []*memory.Bank
 	home   *memory.HomeMap
-	meta   *coherence.Table[blockMeta]
+	meta   *coherence.Table
 	pool   coherence.Pool
 
 	// WriteBacks counts dirty-eviction transfers.
@@ -76,7 +70,7 @@ func New(b *bus.Bus, opts Options) *Engine {
 		caches: make([]*cache.Cache, n),
 		banks:  make([]*memory.Bank, n),
 		home:   homeMapFor(n, opts),
-		meta:   coherence.NewTable(blockMeta{owner: -1}),
+		meta:   coherence.NewTable(),
 	}
 	e.wbByNode = make([]uint64, n)
 	for i := 0; i < n; i++ {
@@ -84,6 +78,15 @@ func New(b *bus.Bus, opts Options) *Engine {
 		e.banks[i] = memory.NewBank(k, "mem")
 	}
 	return e
+}
+
+// Release hands the caches' frames and the home store to the next
+// engine (see core.Engine). The statistics stay readable.
+func (e *Engine) Release() {
+	for _, c := range e.caches {
+		c.Release()
+	}
+	e.meta.Release()
 }
 
 // Bus returns the underlying split-transaction bus.
@@ -175,8 +178,8 @@ func (e *Engine) writeBack(node int, block uint64) {
 // still owns the block, and the bank takes the write.
 func (e *Engine) land(node, h int, block uint64) {
 	m := e.meta.Row(block)
-	if m.dirty && m.owner == node {
-		m.dirty = false
+	if m.Dirty && m.Owner == node {
+		m.Dirty = false
 	}
 	e.banks[h].Access(nil)
 }
@@ -186,7 +189,7 @@ func (e *Engine) miss(node int, block uint64, write bool, done coherence.Done) {
 	mi := e.meta.Index(block)
 	m := e.meta.At(mi)
 	h := e.home.Home(block)
-	dirtyRemote := m.dirty && m.owner != node
+	dirtyRemote := m.Dirty && m.Owner != node
 	t := e.newTxn(node, block, done)
 	t.mi = mi
 
@@ -207,7 +210,7 @@ func (e *Engine) miss(node int, block uint64, write bool, done coherence.Done) {
 	}
 	t.responder = h
 	if dirtyRemote {
-		t.responder = m.owner
+		t.responder = m.Owner
 	}
 	t.write, t.dirtyRemote = write, dirtyRemote
 
@@ -249,10 +252,10 @@ func (t *txn) Resume(step coherence.Step, snooper int, at sim.Time) {
 		e.fill(t.node, t.block, st)
 		m := e.meta.At(t.mi)
 		if t.write {
-			m.dirty = true
-			m.owner = t.node
+			m.Dirty = true
+			m.Owner = t.node
 		} else if t.dirtyRemote {
-			m.dirty = false
+			m.Dirty = false
 		}
 		t.Finish(at, coherence.Result{Txn: t.class})
 	case stepUpgrade:
@@ -264,8 +267,8 @@ func (t *txn) Resume(step coherence.Step, snooper int, at sim.Time) {
 			e.fill(t.node, t.block, coherence.WriteExclusive)
 		}
 		m := e.meta.Row(t.block)
-		m.dirty = true
-		m.owner = t.node
+		m.Dirty = true
+		m.Owner = t.node
 		t.Finish(at, coherence.Result{Txn: coherence.Invalidation})
 	}
 }

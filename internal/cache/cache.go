@@ -13,6 +13,8 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"repro/internal/coherence"
 )
@@ -93,13 +95,44 @@ func New(cfg Config) *Cache {
 	sets := cfg.SizeBytes / cfg.BlockBytes
 	c := &Cache{
 		cfg:     cfg,
-		frames:  make([]uint64, sets),
+		frames:  takeFrames(sets),
 		setMask: uint64(sets - 1),
 	}
 	for bs := cfg.BlockBytes; bs > 1; bs >>= 1 {
 		c.blockShift++
 	}
 	return c
+}
+
+// framePools recycles the frame arrays of released caches by size
+// class: framePools[i] holds arrays of 1<<i sets (Validate makes every
+// set count a power of two), so a small cache neither takes nor
+// strands a large cache's array. A sync.Pool gives an idle process's
+// arrays back to the collector within two cycles.
+var framePools [64]sync.Pool // of *[]uint64
+
+// takeFrames returns an all-Invalid frame array of sets frames,
+// recycled when a released cache left one of that size.
+func takeFrames(sets int) []uint64 {
+	if p, _ := framePools[bits.TrailingZeros(uint(sets))].Get().(*[]uint64); p != nil {
+		f := *p
+		clear(f)
+		return f
+	}
+	return make([]uint64, sets)
+}
+
+// Release hands the cache's frame array to the next cache of the same
+// set count. The statistics stay readable; the block state is gone, and
+// a later Lookup, State or fill panics instead of reading another
+// cache's frames. Releasing twice is a no-op.
+func (c *Cache) Release() {
+	if c.frames == nil {
+		return
+	}
+	f := c.frames
+	c.frames = nil
+	framePools[bits.TrailingZeros(uint(len(f)))].Put(&f)
 }
 
 // Config returns the cache geometry.

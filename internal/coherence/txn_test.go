@@ -85,13 +85,13 @@ func TestRecordReleasedAtFinish(t *testing.T) {
 }
 
 func TestTableRowsAreDense(t *testing.T) {
-	tab := NewTable(struct{ owner int }{owner: -1})
+	tab := NewTable()
 	a, b := tab.Index(0x40), tab.Index(0x1000_0000_0000)
 	if a != 0 || b != 1 || tab.Index(0x40) != 0 || tab.Len() != 2 {
 		t.Fatalf("indices %d, %d, len %d; want 0, 1, 2", a, b, tab.Len())
 	}
-	tab.Row(0x40).owner = 3
-	if tab.At(a).owner != 3 || tab.At(b).owner != -1 {
+	tab.Row(0x40).Owner = 3
+	if tab.At(a).Owner != 3 || tab.At(b).Owner != -1 || tab.At(b).Dirty {
 		t.Fatal("rows not independent or fresh row not zero-valued")
 	}
 }

@@ -40,6 +40,12 @@ type Engine interface {
 	// evictions have caused so far; the per-processor warmup gating of
 	// Metrics.WriteBacks reads it.
 	WriteBacksOf(node int) uint64
+	// Release hands the caches' frames and the per-block home stores to
+	// the next engine once the machine has run: statistics stay
+	// readable, block state is gone, and a later access panics.
+	// System.Run calls it; an engine built on its own keeps its storage
+	// unless asked.
+	Release()
 }
 
 // Compile-time checks that every engine satisfies the interface.
@@ -153,6 +159,15 @@ func (c Config) Validate(cpus int) error {
 		if err := memory.ValidatePageBytes(c.PageBytes); err != nil {
 			return err
 		}
+	}
+	if c.WarmupDataRefs < 0 {
+		return fmt.Errorf("core: negative warm-up window %d", c.WarmupDataRefs)
+	}
+	if c.WriteBufferDepth < 0 {
+		return fmt.Errorf("core: negative write-buffer depth %d", c.WriteBufferDepth)
+	}
+	if (c.Protocol == DirectoryRing || c.Protocol == SCIRing) && cpus > memory.MaxDirectoryNodes {
+		return fmt.Errorf("core: %v tracks at most %d nodes, not %d", c.Protocol, memory.MaxDirectoryNodes, cpus)
 	}
 	switch c.Protocol {
 	case SnoopRing, DirectoryRing, SCIRing:
@@ -279,8 +294,10 @@ type System struct {
 	ring   *ring.Ring
 	bus    *bus.Bus
 	tracer *obs.Tracer
+	home   *memory.HomeMap
 	procs  []*proc
 	m      Metrics
+	ran    bool
 
 	// Latency aggregates accumulate in integer picoseconds and become
 	// the public stats.Mean fields once, at the end of Run. Integer
@@ -440,6 +457,7 @@ func NewSystem(cfg Config, src workload.Source) *System {
 	}
 	home := memory.NewHomeMap(n, pageBytes, sim.NewRand(cfg.Seed))
 	home.SetHint(workload.HomeHint)
+	s.home = home
 
 	s.tracer = obs.New(cfg.Trace, n)
 
@@ -566,7 +584,17 @@ func (s *System) Bus() *bus.Bus { return s.bus }
 // keeping it does not keep the simulated machine alive: its maps,
 // distributions and tracer are the run's own objects, none of which
 // points back into the System.
+//
+// A System runs once. Run then hands the machine's bulk storage (the
+// caches' frames, the event calendar, the home stores and the page
+// table) to the next machine built in the process; the counters of the
+// kernel, the caches, the interconnect and the engine stay readable. A
+// second Run panics.
 func (s *System) Run() *Metrics {
+	if s.ran {
+		panic("core: System.Run called twice")
+	}
+	s.ran = true
 	for _, p := range s.procs {
 		s.advance(p)
 	}
@@ -598,6 +626,9 @@ func (s *System) Run() *Metrics {
 	s.m.InvLatency = s.invAcc.mean()
 	s.m.BufferedLatency = s.bufAcc.mean()
 	m := s.m
+	s.engine.Release()
+	s.home.Release()
+	s.k.Release()
 	return &m
 }
 

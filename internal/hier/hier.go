@@ -18,6 +18,7 @@ package hier
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/coherence"
@@ -62,12 +63,8 @@ func (o Options) Validate(nodes int) error {
 	return rc.Validate()
 }
 
-// hmeta is the home-side state of one block; the IRIs' per-cluster
-// copy summary lives in Engine.copies under the same row index.
-type hmeta struct {
-	dirty bool
-	owner int
-}
+// copiesPool recycles released engines' copy summaries.
+var copiesPool sync.Pool // of *[]int32
 
 // Engine is a hierarchical snooping coherence engine.
 type Engine struct {
@@ -80,7 +77,7 @@ type Engine struct {
 	caches   []*cache.Cache
 	banks    []*memory.Bank
 	home     *memory.HomeMap
-	meta     *coherence.Table[hmeta]
+	meta     *coherence.Table
 	// copies[i*clusters+c] counts the cached copies of meta row i's
 	// block in cluster c (the IRIs' summary).
 	copies    []int32
@@ -115,7 +112,10 @@ func New(k *sim.Kernel, nodes int, opts Options) *Engine {
 		caches:   make([]*cache.Cache, nodes),
 		banks:    make([]*memory.Bank, nodes),
 		wbByNode: make([]uint64, nodes),
-		meta:     coherence.NewTable(hmeta{owner: -1}),
+		meta:     coherence.NewTable(),
+	}
+	if p, _ := copiesPool.Get().(*[]int32); p != nil {
+		e.copies = *p
 	}
 	gc := opts.Ring
 	gc.Nodes = opts.Clusters
@@ -136,6 +136,21 @@ func New(k *sim.Kernel, nodes int, opts Options) *Engine {
 		e.banks[i] = memory.NewBank(k, "mem")
 	}
 	return e
+}
+
+// Release hands the caches' frames, the home store and the copy
+// summary to the next engine (see core.Engine). The statistics, Txns
+// and GlobalShare included, stay readable.
+func (e *Engine) Release() {
+	for _, c := range e.caches {
+		c.Release()
+	}
+	e.meta.Release()
+	if e.copies != nil {
+		p := e.copies[:0]
+		copiesPool.Put(&p)
+		e.copies = nil
+	}
 }
 
 // cluster returns node n's cluster; local its position on that ring.
@@ -352,8 +367,8 @@ func (e *Engine) writeBack(node int, block uint64) {
 // still owns the block, and the bank takes the write.
 func (e *Engine) land(node, h int, block uint64) {
 	m := e.meta.At(e.row(block))
-	if m.dirty && m.owner == node {
-		m.dirty = false
+	if m.Dirty && m.Owner == node {
+		m.Dirty = false
 	}
 	e.banks[h].Access(nil)
 }
@@ -382,7 +397,7 @@ func (e *Engine) miss(node int, block uint64, write bool, done coherence.Done) {
 	cp := e.copiesOf(mi)
 	h := e.home.Home(block)
 	cn := e.cluster(node)
-	dirtyRemote := m.dirty && m.owner != node
+	dirtyRemote := m.Dirty && m.Owner != node
 	t := e.newTxn(node, block, done)
 	t.mi, t.write, t.dirtyRemote = mi, write, dirtyRemote
 
@@ -396,7 +411,7 @@ func (e *Engine) miss(node int, block uint64, write bool, done coherence.Done) {
 
 	t.responder = h
 	if dirtyRemote {
-		t.responder = m.owner
+		t.responder = m.Owner
 	}
 	t.class = coherence.ReadMissClean
 	switch {
@@ -450,8 +465,8 @@ func (t *txn) Resume(step coherence.Step, visited int, at sim.Time) {
 		if t.write {
 			st = coherence.WriteExclusive
 			m := e.meta.At(t.mi)
-			m.dirty = true
-			m.owner = t.node
+			m.Dirty = true
+			m.Owner = t.node
 		}
 		e.fill(t.node, t.block, st)
 		class := coherence.ReadMissClean
@@ -541,8 +556,8 @@ func (t *txn) maybeFire() {
 			e.fill(t.node, t.block, coherence.WriteExclusive)
 		}
 		m := e.meta.At(t.mi)
-		m.dirty = true
-		m.owner = t.node
+		m.Dirty = true
+		m.Owner = t.node
 		t.Finish(at, coherence.Result{Txn: coherence.Invalidation, Traversals: t.trav})
 		return
 	}
@@ -550,10 +565,10 @@ func (t *txn) maybeFire() {
 	m := e.meta.At(t.mi)
 	if t.write {
 		st = coherence.WriteExclusive
-		m.dirty = true
-		m.owner = t.node
+		m.Dirty = true
+		m.Owner = t.node
 	} else if t.dirtyRemote {
-		m.dirty = false
+		m.Dirty = false
 	}
 	e.fill(t.node, t.block, st)
 	t.Finish(at, coherence.Result{Txn: t.class, Traversals: t.trav})

@@ -12,6 +12,7 @@ package memory
 import (
 	"errors"
 	"math/bits"
+	"sync"
 
 	"repro/internal/sim"
 )
@@ -57,7 +58,25 @@ func NewHomeMap(nodes, pageBytes int, rng *sim.Rand) *HomeMap {
 	if err := ValidatePageBytes(pageBytes); err != nil {
 		panic(err.Error())
 	}
-	return &HomeMap{nodes: nodes, pageBytes: pageBytes, table: make(map[uint64]int), rng: rng}
+	table, _ := pageTables.Get().(map[uint64]int)
+	if table == nil {
+		table = make(map[uint64]int)
+	}
+	return &HomeMap{nodes: nodes, pageBytes: pageBytes, table: table, rng: rng}
+}
+
+// pageTables recycles the page tables of released home maps, emptied.
+var pageTables sync.Pool // of map[uint64]int
+
+// Release empties the page table and hands it to the next NewHomeMap.
+// Any later placement panics. Releasing twice is a no-op.
+func (h *HomeMap) Release() {
+	if h.table == nil {
+		return
+	}
+	clear(h.table)
+	pageTables.Put(h.table)
+	h.table = nil
 }
 
 // Nodes returns the number of nodes in the mapping.
@@ -102,13 +121,18 @@ func (h *HomeMap) Place(addr uint64, home int) {
 	h.table[addr/uint64(h.pageBytes)] = home
 }
 
+// MaxDirectoryNodes is the most nodes a directory record can track,
+// the paper's largest machine: the full-map presence vector is one
+// 64-bit word and the SCI list keeps one successor per node.
+const MaxDirectoryNodes = 64
+
 // Line is the full-map directory record kept at the home node: one
 // presence bit per node, a dirty bit, and the dirty owner. It is
 // pointer-free, so directory storage is invisible to the garbage
 // collector.
 type Line struct {
 	// presence is the full-map bit vector of sharers (including the
-	// owner when dirty). Supports up to 64 nodes, the paper's maximum.
+	// owner when dirty), one bit for each of MaxDirectoryNodes nodes.
 	presence uint64
 	// Owner is the dirty node when Dirty is set.
 	Owner int
@@ -130,7 +154,7 @@ func (l *Line) HasSharerBesides(a, b int) bool {
 
 // AddSharer sets node's presence bit.
 func (l *Line) AddSharer(node int) {
-	if node < 0 || node >= 64 {
+	if node < 0 || node >= MaxDirectoryNodes {
 		panic("memory: sharer out of supported range [0,64)")
 	}
 	l.presence |= 1 << uint(node)
@@ -175,7 +199,7 @@ type ListLine struct {
 	// next[i] is node i's successor in the sharing list, -1 at the
 	// tail. A fixed array (valid only for present sharers) rather than
 	// a map keeps the record pointer-free.
-	next [64]int8
+	next [MaxDirectoryNodes]int8
 }
 
 // AddSharer sets node's presence bit and links it at the head of the
@@ -232,7 +256,7 @@ func (l *ListLine) AppendList(dst []int) []int {
 	n := 0
 	for cur := l.Head; cur >= 0; cur = int(l.next[cur]) {
 		dst = append(dst, cur)
-		if n++; n > 64 {
+		if n++; n > MaxDirectoryNodes {
 			panic("memory: sharing list cycle")
 		}
 	}
@@ -247,19 +271,31 @@ const lineChunkSize = 256
 // Directory is the home-node directory for all blocks homed at one
 // node, holding one record of type T per block touched.
 type Directory[T any] struct {
-	lines map[uint64]*T
-	chunk []T // current allocation chunk (pointers into it are stable)
-	fresh T   // a first-touch record: clean and uncached
+	lines  map[uint64]*T
+	chunks [][]T // every chunk, in hand-out order (pointers into them are stable)
+	used   int   // chunks[:used] have handed out records
+	chunk  []T   // the rest of chunks[used-1]
+	fresh  T     // a first-touch record: clean and uncached
+	pool   *sync.Pool
+}
+
+// lineStores and listStores hold empty directories on released
+// directories' storage, one pool per record type.
+var lineStores, listStores sync.Pool // of *Directory[Line], *Directory[ListLine]
+
+func newDirectory[T any](fresh T, pool *sync.Pool) *Directory[T] {
+	if d, _ := pool.Get().(*Directory[T]); d != nil {
+		return d
+	}
+	return &Directory[T]{lines: make(map[uint64]*T), fresh: fresh, pool: pool}
 }
 
 // NewDirectory returns an empty full-map directory.
-func NewDirectory() *Directory[Line] {
-	return &Directory[Line]{lines: make(map[uint64]*Line)}
-}
+func NewDirectory() *Directory[Line] { return newDirectory(Line{}, &lineStores) }
 
 // NewListDirectory returns an empty linked-list directory.
 func NewListDirectory() *Directory[ListLine] {
-	return &Directory[ListLine]{lines: make(map[uint64]*ListLine), fresh: ListLine{Head: -1}}
+	return newDirectory(ListLine{Head: -1}, &listStores)
 }
 
 // Line returns the record for block, creating a clean, uncached record
@@ -268,7 +304,11 @@ func (d *Directory[T]) Line(block uint64) *T {
 	ln := d.lines[block]
 	if ln == nil {
 		if len(d.chunk) == 0 {
-			d.chunk = make([]T, lineChunkSize)
+			if d.used == len(d.chunks) {
+				d.chunks = append(d.chunks, make([]T, lineChunkSize))
+			}
+			d.chunk = d.chunks[d.used]
+			d.used++
 		}
 		ln = &d.chunk[0]
 		d.chunk = d.chunk[1:]
@@ -276,6 +316,19 @@ func (d *Directory[T]) Line(block uint64) *T {
 		d.lines[block] = ln
 	}
 	return ln
+}
+
+// Release empties the directory and hands its map and chunks to the
+// next directory of the same record type; a handed-out record is reset
+// to the fresh one, so stale records are never read. Any later use
+// panics. Releasing twice is a no-op.
+func (d *Directory[T]) Release() {
+	if d.lines == nil {
+		return
+	}
+	clear(d.lines)
+	d.pool.Put(&Directory[T]{lines: d.lines, chunks: d.chunks, fresh: d.fresh, pool: d.pool})
+	d.lines, d.chunks, d.chunk = nil, nil, nil
 }
 
 // Bank is one node's memory bank: a single server with the paper's

@@ -87,6 +87,15 @@ func New(r *ring.Ring, opts Options) *Engine {
 	return e
 }
 
+// Release hands the caches' frames and the directory to the next
+// engine (see core.Engine). The statistics stay readable.
+func (e *Engine) Release() {
+	for _, c := range e.caches {
+		c.Release()
+	}
+	e.dir.Release()
+}
+
 // Ring returns the underlying slotted ring.
 func (e *Engine) Ring() *ring.Ring { return e.ring }
 

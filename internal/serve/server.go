@@ -497,7 +497,9 @@ func jobCost(jobs []sweep.Job) int64 {
 	var cost int64
 	for _, j := range jobs {
 		j = j.Normalize()
-		cost += int64(j.CPUs) * int64(j.DataRefsPerCPU)
+		// A malformed job (a negative stream length) fails as soon as it
+		// runs; pricing it below zero would grant its tenant credit.
+		cost += max(0, int64(j.CPUs)*int64(j.DataRefsPerCPU))
 	}
 	return cost
 }

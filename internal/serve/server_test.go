@@ -636,6 +636,36 @@ func TestMalformedGeometryIs400(t *testing.T) {
 	}
 }
 
+// TestNegativeStreamLengthIs400: a negative stream length is a bad
+// request. It used to run at the generator's default length (-600 plus
+// the 600-ref warm-up is 0, the default) or as an empty stream, and was
+// cached under its own hash; it must also not price below zero in the
+// shortest-job queue, which would grant its tenant queue credit.
+func TestNegativeStreamLengthIs400(t *testing.T) {
+	eng := sweep.New(sweep.Options{Workers: 1})
+	_, ts := newTestServer(t, nil, Options{Engine: eng})
+	for _, j := range []sweep.Job{
+		{CPUs: 8, DataRefsPerCPU: -600},
+		{CPUs: 8, DataRefsPerCPU: -5000},
+		{CPUs: 8, WarmupDataRefs: -5},
+	} {
+		if resp, raw := postJob(t, ts.URL, j, ""); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%+v: status %d (%s), want 400", j, resp.StatusCode, raw)
+		}
+		resp, err := http.Get(ts.URL + "/v1/results/" + j.Hash())
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%+v: result lookup %d, want 404", j, resp.StatusCode)
+		}
+		if c := jobCost([]sweep.Job{j}); c < 0 {
+			t.Errorf("%+v: cost %d, want >= 0", j, c)
+		}
+	}
+}
+
 // TestRetiredJobInputsAre400: the segmented ring and the PRIVATE
 // profiles are gone. A job that still names them is refused as a bad
 // request, ring_segments as an unknown field and PRIVATE as a job

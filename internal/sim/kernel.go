@@ -30,12 +30,16 @@
 // Event records live in a pooled, index-addressed slab: scheduling
 // allocates nothing once the slab and buckets have warmed up, and
 // records are recycled through a free list as they fire. See DESIGN.md
-// ("Zero-allocation event core") for the invariants.
+// ("Zero-allocation event core") for the invariants. A drained kernel
+// hands the slab, free list, wheel and overflow heap to the next
+// kernel (Release), so a process that builds many machines warms the
+// calendar once.
 package sim
 
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // Time is an absolute simulation time in picoseconds.
@@ -139,10 +143,46 @@ type Kernel struct {
 	wheelCount int
 	overflow   []uint32
 	live       int
+	// slab is SlabSize once Release has handed the slab on.
+	slab int
 }
 
-// NewKernel returns a kernel with the clock at zero.
-func NewKernel() *Kernel { return &Kernel{} }
+// kernels holds fresh kernels that carry a released kernel's calendar
+// storage: every record zeroed, every bucket and list empty, the
+// capacities kept.
+var kernels sync.Pool // of *Kernel
+
+// NewKernel returns a kernel with the clock at zero, on a released
+// kernel's calendar storage when one is pooled.
+func NewKernel() *Kernel {
+	if k, _ := kernels.Get().(*Kernel); k != nil {
+		return k
+	}
+	return &Kernel{}
+}
+
+// Release hands the drained calendar's storage to the next NewKernel.
+// Now, Fired and SlabSize stay readable; the kernel is not meant to
+// schedule again, and if it does it starts from a cold calendar. It
+// panics if events are still pending.
+func (k *Kernel) Release() {
+	if k.live != 0 {
+		panic(fmt.Sprintf("sim: Release with %d events pending", k.live))
+	}
+	if k.recs == nil && k.buckets == nil {
+		return
+	}
+	k.slab = len(k.recs)
+	clear(k.recs)
+	for i := range k.buckets {
+		k.buckets[i] = k.buckets[i][:0]
+	}
+	// The pooled wheel skips insert's lazy set-up, whose base is the
+	// clock's tick: zero, as on the fresh kernel that carries it.
+	kernels.Put(&Kernel{recs: k.recs[:0], free: k.free[:0], buckets: k.buckets, overflow: k.overflow[:0]})
+	k.recs, k.free, k.buckets, k.overflow = nil, nil, nil, nil
+	k.occ, k.wheelCount = [wheelWords]uint64{}, 0
+}
 
 // Now returns the current simulation time.
 func (k *Kernel) Now() Time { return k.now }
@@ -156,7 +196,7 @@ func (k *Kernel) Pending() int { return k.live }
 // SlabSize reports how many event records the calendar has ever
 // allocated — the pool's high-water mark, an allocation observability
 // counter surfaced by the serving layer.
-func (k *Kernel) SlabSize() int { return len(k.recs) }
+func (k *Kernel) SlabSize() int { return max(len(k.recs), k.slab) }
 
 // less orders two slab records by (time, seq).
 func (k *Kernel) less(a, b uint32) bool {

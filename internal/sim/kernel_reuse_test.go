@@ -68,3 +68,37 @@ func TestKernelCanceledOverflowMinThenReschedule(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedCalendarMatchesReferenceHeap: a kernel built after
+// another one's Release (normally on its slab, free list, wheel and
+// overflow heap, all grown by the earlier run) dispatches exactly as
+// the reference heap, and the released kernel keeps its counters.
+func TestReleasedCalendarMatchesReferenceHeap(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		prev := NewKernel()
+		driveRandomWorkload(realCal{prev}, seed+100, func() { prev.Run() })
+		fired, slab, now := prev.Fired(), prev.SlabSize(), prev.Now()
+		prev.Release()
+		if prev.Fired() != fired || prev.SlabSize() != slab || prev.Now() != now {
+			t.Fatalf("released kernel reads fired %d slab %d now %v, want %d %d %v",
+				prev.Fired(), prev.SlabSize(), prev.Now(), fired, slab, now)
+		}
+
+		ref := &refKernel{}
+		refLog := driveRandomWorkload(refCal{ref}, seed, ref.run)
+		k := NewKernel()
+		realLog := driveRandomWorkload(realCal{k}, seed, func() { k.Run() })
+		compareLogs(t, "recycled calendar", realLog, refLog)
+	}
+}
+
+func TestReleaseWithPendingEventsPanics(t *testing.T) {
+	k := NewKernel()
+	k.At(10, func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Release with a pending event did not panic")
+		}
+	}()
+	k.Release()
+}

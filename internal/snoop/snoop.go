@@ -53,13 +53,6 @@ func (o *Options) fill() {
 	}
 }
 
-// blockMeta is the home-side state of one block: the dirty bit (and
-// owner) kept in main memory by the snooping protocol.
-type blockMeta struct {
-	dirty bool
-	owner int
-}
-
 // Engine is a snooping-protocol coherence engine over a slotted ring.
 type Engine struct {
 	k      *sim.Kernel
@@ -67,7 +60,7 @@ type Engine struct {
 	caches []*cache.Cache
 	banks  []*memory.Bank
 	home   *memory.HomeMap
-	meta   *coherence.Table[blockMeta]
+	meta   *coherence.Table
 	tr     *obs.Tracer
 	pool   coherence.Pool
 
@@ -92,7 +85,7 @@ func New(r *ring.Ring, opts Options) *Engine {
 		caches: make([]*cache.Cache, n),
 		banks:  make([]*memory.Bank, n),
 		home:   homeMapFor(n, opts),
-		meta:   coherence.NewTable(blockMeta{owner: -1}),
+		meta:   coherence.NewTable(),
 		tr:     opts.Tracer,
 	}
 	e.wbByNode = make([]uint64, n)
@@ -101,6 +94,15 @@ func New(r *ring.Ring, opts Options) *Engine {
 		e.banks[i] = memory.NewBank(k, "mem")
 	}
 	return e
+}
+
+// Release hands the caches' frames and the home store to the next
+// engine (see core.Engine). The statistics stay readable.
+func (e *Engine) Release() {
+	for _, c := range e.caches {
+		c.Release()
+	}
+	e.meta.Release()
 }
 
 // Ring returns the underlying slotted ring (for utilization stats).
@@ -192,7 +194,7 @@ func (e *Engine) writeBack(node int, block uint64) {
 	h := e.home.Home(block)
 	if h == node {
 		// Local write-back: just the bank write.
-		m.dirty = false
+		m.Dirty = false
 		e.banks[h].Access(nil)
 		sp.End(e.k.Now(), coherence.WriteBack)
 		return
@@ -219,7 +221,7 @@ func (e *Engine) miss(node int, block uint64, write bool, done coherence.Done) {
 	// write-back): served from the local bank. A write to a block that
 	// other caches may share still needs the invalidating probe, so
 	// only reads take the pure-local path.
-	dirtyRemote := m.dirty && m.owner != node
+	dirtyRemote := m.Dirty && m.Owner != node
 	if h == node && !dirtyRemote && !write {
 		e.banks[h].AccessEvent(t.Await(stepLocalRead))
 		return
@@ -239,7 +241,7 @@ func (e *Engine) miss(node int, block uint64, write bool, done coherence.Done) {
 	// Responder chosen at insertion: the dirty owner, else the home.
 	t.responder = h
 	if dirtyRemote {
-		t.responder = m.owner
+		t.responder = m.Owner
 	}
 
 	// Broadcast the probe. Every interface snoops it as it passes (see
@@ -304,15 +306,15 @@ func (t *txn) Resume(step coherence.Step, visited int, at sim.Time) {
 			e.fill(t.node, t.block, coherence.WriteExclusive)
 		}
 		m := e.meta.Row(t.block)
-		m.dirty = true
-		m.owner = t.node
+		m.Dirty = true
+		m.Owner = t.node
 		t.sp.Mark(obs.PhaseAck, at)
 		t.sp.End(at, coherence.Invalidation)
 		t.Finish(at, coherence.Result{Txn: coherence.Invalidation, Traversals: 1})
 	case stepWriteBack:
 		m := e.meta.Row(t.block)
-		if m.dirty && m.owner == t.node {
-			m.dirty = false
+		if m.Dirty && m.Owner == t.node {
+			m.Dirty = false
 		}
 		e.banks[t.home].Access(nil)
 	}
@@ -338,11 +340,11 @@ func (t *txn) finish() {
 	e.fill(t.node, t.block, st)
 	m := e.meta.At(t.mi)
 	if t.write {
-		m.dirty = true
-		m.owner = t.node
+		m.Dirty = true
+		m.Owner = t.node
 	} else if t.dirtyRemote {
 		// The owner downgraded and the home copy is refreshed.
-		m.dirty = false
+		m.Dirty = false
 	}
 	t.sp.End(now, t.class)
 	t.Finish(now, coherence.Result{Txn: t.class, Traversals: 1})

@@ -39,6 +39,9 @@ func (j Job) SystemConfig() (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
+	if j.DataRefsPerCPU < 0 {
+		return core.Config{}, fmt.Errorf("negative data_refs_per_cpu %d", j.DataRefsPerCPU)
+	}
 	cfg := core.Config{
 		Protocol:  proto,
 		ProcCycle: sim.Time(j.ProcCyclePS),
@@ -58,10 +61,11 @@ func (j Job) SystemConfig() (core.Config, error) {
 		NonBlockingStores: j.NonBlockingStores,
 		WriteBufferDepth:  j.WriteBufferDepth,
 	}
-	// The geometry (cache, page, ring, bus, clusters) is checked by the
-	// components' own rules here, politely: the constructors treat a
-	// malformed geometry as programmer error and panic, but a Job
-	// arrives over the wire and must come back as a job error instead.
+	// The geometry (cache, page, ring, bus, clusters) and the stream
+	// lengths are checked by the components' own rules here, politely:
+	// the constructors treat a malformed geometry as programmer error and
+	// panic, but a Job arrives over the wire and must come back as a job
+	// error instead.
 	if err := cfg.Validate(j.CPUs); err != nil {
 		return core.Config{}, err
 	}

@@ -132,6 +132,13 @@ func TestJobRejectsBadGeometry(t *testing.T) {
 		"negative probe pairs":     {RingProbePairs: -1},
 		"negative processor cycle": {ProcCyclePS: -1},
 		"negative bus clock":       {Protocol: "snoop-bus", BusClockPS: -1},
+		// Negative stream lengths: -600 plus the 600-ref warm-up is 0,
+		// which the generator reads as its default length.
+		"stream shorter than warm-up": {CPUs: 8, DataRefsPerCPU: -600},
+		"negative stream":             {CPUs: 8, DataRefsPerCPU: -5000},
+		"negative warm-up":            {CPUs: 8, WarmupDataRefs: -5},
+		"negative write buffer":       {NonBlockingStores: true, WriteBufferDepth: -1},
+		"65 directory nodes":          {Protocol: "directory-ring", CPUs: 65},
 	} {
 		_, err := j.SystemConfig()
 		if err == nil {

@@ -142,6 +142,9 @@ func (c *Config) fill() error {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
+	if c.DataRefsPerCPU < 0 {
+		return fmt.Errorf("repro: negative stream length %d data references per CPU", c.DataRefsPerCPU)
+	}
 	if c.ProcCycleNS < 0.1 || c.ProcCycleNS > 1000 {
 		return fmt.Errorf("repro: processor cycle %.2f ns out of range", c.ProcCycleNS)
 	}

@@ -57,21 +57,48 @@ func TestRunRejectsMalformedConfig(t *testing.T) {
 		"ring width not bytes":   {RingWidthBits: 7},
 		"negative ring clock":    {RingMHz: -500},
 		"negative bus clock":     {Protocol: SnoopBus, BusMHz: -50},
+		// The 600-ref warm-up would leave 0, which the generator reads
+		// as its default length.
+		"stream shorter than warm-up": {CPUs: 8, DataRefsPerCPU: -600},
+		"negative stream":             {CPUs: 8, DataRefsPerCPU: -5000},
 	} {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 	// RunTrace checks the machine at the trace's CPU count: 16 clusters
-	// divide the 16 CPUs Config defaults to, but not the trace's 8.
-	path := t.TempDir() + "/m8.trc.gz"
+	// divide the 16 CPUs Config defaults to, but not the trace's 8, and
+	// a directory record tracks at most 64 nodes.
+	dir := t.TempDir()
+	path := dir + "/m8.trc.gz"
 	writeTestTrace(t, path)
-	for name, cfg := range map[string]Config{
-		"clusters do not divide the trace": {Protocol: HierRing, Clusters: 16},
-		"ring width not bytes":             {RingWidthBits: 7},
+	wide := dir + "/w65.trc.gz"
+	writeWideTrace(t, wide, 65)
+	for name, run := range map[string]struct {
+		cfg  Config
+		path string
+	}{
+		"clusters do not divide the trace": {Config{Protocol: HierRing, Clusters: 16}, path},
+		"ring width not bytes":             {Config{RingWidthBits: 7}, path},
+		"negative stream":                  {Config{DataRefsPerCPU: -5000}, path},
+		"65 nodes on the full map":         {Config{Protocol: DirectoryRing}, wide},
+		"65 nodes on the SCI list":         {Config{Protocol: SCIRing}, wide},
 	} {
-		if _, err := RunTrace(cfg, path); err == nil {
+		if _, err := RunTrace(run.cfg, run.path); err == nil {
 			t.Errorf("trace, %s: accepted", name)
+		}
+	}
+	// The snooping machines keep no per-node directory state, and 64
+	// nodes still fit the directory machines.
+	for _, p := range []Protocol{SnoopRing, SnoopBus} {
+		if _, err := RunTrace(Config{Protocol: p}, wide); err != nil {
+			t.Errorf("65-CPU trace on %s: %v", p, err)
+		}
+	}
+	writeWideTrace(t, wide, 64)
+	for _, p := range []Protocol{DirectoryRing, SCIRing} {
+		if _, err := RunTrace(Config{Protocol: p}, wide); err != nil {
+			t.Errorf("64-CPU trace on %s: %v", p, err)
 		}
 	}
 }
